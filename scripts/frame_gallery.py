@@ -35,7 +35,7 @@ def main():
         print(f"{family:<18}{f'{F.m} x {F.n}':<12}"
               f"{'complex' if F.is_complex else 'real':<9}"
               f"{resid:<12.2e}{str(fr.is_equiangular(F)):<13}"
-              f"{fr.coherence(F):<11.5f}{math.sqrt(fr.welch_max_bound(F.n, F.m)):.5f}")
+              f"{fr.coherence(F):<11.5f}{math.sqrt(fr.welch_rms_bound(F.n, F.m)):.5f}")
 
 
 if __name__ == "__main__":

@@ -106,14 +106,15 @@ def empirical_ahmr(F: FrameMatrix, k: int, trials: int, seed=None) -> float:
 def amplification(model, beta: float, p: float) -> float:
     """Lambda(beta, p) >= 1 under the chosen model.
 
-    MP ignores p (i.i.d. frames forget the ambient ratio); the empirical
-    model draws k = round(beta * m) columns of its frame.
+    MP is the MANOVA law at p = 0 (i.i.d. frames forget the ambient
+    ratio); the empirical model draws k = round(beta * m) columns of its
+    frame.
     """
     model = _as_model(model)
     if beta == 1.0:
         raise ZeroDivisionError("amplification diverges at beta = 1")
     if model.kind == "mp":
-        return 1.0 / (1.0 - beta) if beta < 1.0 else beta / (beta - 1.0)
+        return inverse_moment_amplification(beta, 0.0)
     if model.kind == "manova":
         return inverse_moment_amplification(beta, p)
     k = int(round(beta * model.frame.m))
@@ -134,8 +135,8 @@ def rate_sc(beta: float, p: float, sdr: float, model) -> float:
     """Finite-SDR rate of the analog source coding scheme, bits/sample."""
     if not p < beta < 1.0:
         raise ValueError(f"source coding needs p < beta < 1; got beta={beta}")
-    if sdr <= 1.0:
-        raise ValueError("rate is defined for sdr > 1")
+    if sdr < 1.0:
+        raise ValueError("rate is defined for sdr >= 1")
     lam = amplification(model, beta, p)
     return (1.0 / beta) * 0.5 * p * math.log2(1.0 + (sdr - 1.0) * beta * lam)
 
@@ -156,7 +157,10 @@ def capacity_cc(beta: float, p: float, snr: float, model) -> float:
     if not beta > 1.0:
         raise ValueError(f"channel coding needs beta > 1; got beta={beta}")
     lam = amplification(model, beta, p)
-    return (1.0 / beta) * shannon_capacity(p, snr * beta / lam)
+    effective = snr * beta / lam
+    if not math.isfinite(effective):
+        raise OverflowError(f"effective SNR overflows at snr={snr}, beta={beta}")
+    return (1.0 / beta) * shannon_capacity(p, effective)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-6):

@@ -42,7 +42,6 @@ __all__ = [
     "coherence",
     "gram",
     "welch_rms_bound",
-    "welch_max_bound",
     "welch_value",
     "is_prime",
     "RANDOM_FAMILIES",
@@ -426,15 +425,11 @@ def is_tight(F: FrameMatrix | np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def welch_rms_bound(n: int, m: int) -> float:
-    """Lower bound on the mean off-diagonal squared correlation."""
+    """Lower bound on the mean, and so on the max, off-diagonal squared
+    correlation (ETFs meet it)."""
     if n == m:
         return 0.0
     return (n - m) / ((n - 1) * m)
-
-
-def welch_max_bound(n: int, m: int) -> float:
-    """Lower bound on the max off-diagonal squared correlation (ETFs meet it)."""
-    return welch_rms_bound(n, m)
 
 
 def welch_value(n: int, m: int) -> float:

@@ -5,7 +5,7 @@ restricted-isometry radius, its statistical indicator, the
 arithmetic-to-harmonic means ratio driving analog-coding amplification,
 the Shannon transform (bits), and the extreme/condition statistics.
 ``limiting_value`` evaluates the same functionals against the limiting
-MANOVA or Marchenko-Pastur law.
+MANOVA law, whose gamma = 0 case is Marchenko-Pastur.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manova import (ManovaParams, _integrate_against_density, manova_atoms,
-                     mp_edges, mp_moment_numeric, support_edges)
+from .manova import ManovaDistribution, ManovaParams
 from .spectra import ZERO_CLAMP, SubsetSpectrum
 
 __all__ = ["FunctionalSpec", "evaluate", "limiting_value", "KINDS"]
@@ -80,84 +79,27 @@ def evaluate(spec: FunctionalSpec, spectrum: SubsetSpectrum | np.ndarray) -> flo
     raise AssertionError(kind)
 
 
-def _manova_limit(spec: FunctionalSpec, params: ManovaParams) -> float:
-    edges = support_edges(params)
-    atoms = manova_atoms(params)
-    mass0 = sum(a.mass for a in atoms if a.location == 0.0)
-    top = [(a.location, a.mass) for a in atoms if a.location > 0.0]
+def limiting_value(spec: FunctionalSpec, params: ManovaParams) -> float:
+    """Limit of the functional under the MANOVA(beta, gamma) law; gamma = 0
+    is Marchenko-Pastur(beta)."""
+    law = ManovaDistribution(params)
     kind = spec.kind
-
     if kind in ("rip", "strip", "max", "min", "cond"):
-        lo = 0.0 if mass0 > 0.0 else edges.r_minus
-        hi = max([edges.r_plus] + [loc for loc, _ in top])
+        locations = [a.location for a in law.atoms]
+        lo = min([law.edges.r_minus] + locations)
+        hi = max([law.edges.r_plus] + locations)
         if kind == "max":
             return hi
         if kind == "min":
             return lo
         if kind == "cond":
-            if lo == 0.0:
-                return math.inf
-            return hi / lo
+            return math.inf if lo == 0.0 else hi / lo
         rip = max(hi - 1.0, 1.0 - lo)
         return rip if kind == "rip" else (1.0 if rip <= spec.delta else 0.0)
-
     if kind == "ac":
-        # mean of the law is 1 for beta <= 1 (unit-norm trace identity)
         if params.beta >= 1.0:
             raise ValueError("AC limit needs beta < 1 (mass at zero otherwise)")
-        inv = _integrate_against_density(lambda x: 1.0 / x, params)
-        inv += sum(mass / loc for loc, mass in top)
-        mean = _integrate_against_density(lambda x: x, params)
-        mean += sum(mass * loc for loc, mass in top)
-        return inv * mean
-
+        return law.moment(-1) * law.moment(1)
     if kind == "shannon":
-        val = _integrate_against_density(lambda x: np.log2(1.0 + spec.alpha * x), params)
-        val += sum(mass * math.log2(1.0 + spec.alpha * loc) for loc, mass in top)
-        return val
-
+        return law.integrate(lambda x: np.log2(1.0 + spec.alpha * x))
     raise AssertionError(kind)
-
-
-def _mp_limit(spec: FunctionalSpec, beta: float) -> float:
-    lo, hi = mp_edges(beta)
-    kind = spec.kind
-    if kind == "max":
-        return hi
-    if kind == "min":
-        return lo
-    if kind == "cond":
-        return math.inf if lo == 0.0 else hi / lo
-    if kind in ("rip", "strip"):
-        rip = max(hi - 1.0, 1.0 - lo)
-        return rip if kind == "rip" else (1.0 if rip <= spec.delta else 0.0)
-    if kind == "ac":
-        if beta >= 1.0:
-            raise ValueError("AC limit needs beta < 1")
-        return mp_moment_numeric(-1, beta) * mp_moment_numeric(1, beta)
-    if kind == "shannon":
-        from scipy import integrate as _si
-
-        span = hi - lo
-
-        def integrand(th):
-            x = lo + span * np.sin(th) ** 2
-            w = span ** 2 * np.sin(th) ** 2 * np.cos(th) ** 2 / (np.pi * beta * x)
-            return np.log2(1.0 + spec.alpha * x) * w
-
-        val, _ = _si.quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-10, limit=200)
-        return val
-    raise AssertionError(kind)
-
-
-def limiting_value(spec: FunctionalSpec, params, law: str = "manova") -> float:
-    """Limit of the functional under the MANOVA(beta, gamma) law, or under
-    Marchenko-Pastur(beta) when law="mp" (params may then be a float)."""
-    if law == "manova":
-        if not isinstance(params, ManovaParams):
-            raise TypeError("manova law needs ManovaParams")
-        return _manova_limit(spec, params)
-    if law == "mp":
-        beta = params.beta if isinstance(params, ManovaParams) else float(params)
-        return _mp_limit(spec, beta)
-    raise ValueError(f"unknown law {law!r}")

@@ -1,5 +1,5 @@
-"""Limiting spectral laws: MANOVA(beta, gamma), Marchenko-Pastur, and the
-eta-transform route to the inverse moment.
+"""The limiting spectral law MANOVA(beta, gamma), whose gamma = 0 case is
+Marchenko-Pastur(beta), and the eta-transform route to the inverse moment.
 
 The MANOVA law describes eigenvalues of the Gram matrix of a random size-k
 column subset of an m-by-n tight frame with beta = k/m and gamma = m/n.
@@ -34,11 +34,7 @@ __all__ = [
     "support_edges",
     "manova_density",
     "manova_atoms",
-    "manova_cdf",
     "ManovaDistribution",
-    "mp_edges",
-    "mp_density",
-    "mp_moment_numeric",
     "manova_moment_numeric",
     "manova_moment_closed",
     "inverse_moment_amplification",
@@ -70,7 +66,8 @@ class SupportEdges(NamedTuple):
 
 @dataclass(frozen=True)
 class ManovaParams:
-    """Aspect ratios beta = k/m, gamma = m/n (so p = k/n = beta*gamma)."""
+    """Aspect ratios beta = k/m, gamma = m/n (so p = k/n = beta*gamma);
+    gamma = 0 gives the Marchenko-Pastur law of i.i.d. frames."""
 
     beta: float
     gamma: float
@@ -79,8 +76,8 @@ class ManovaParams:
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError(f"beta must be positive; got {self.beta}")
-        if not 0 < self.gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1]; got {self.gamma}")
+        if not 0 <= self.gamma <= 1:
+            raise ValueError(f"gamma must be in [0, 1]; got {self.gamma}")
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex'; got {self.field!r}")
         if not self.p <= 1 + 1e-12:
@@ -113,9 +110,8 @@ def manova_atoms(params: ManovaParams) -> tuple[Atom, ...]:
     atoms = []
     if b > 1.0:
         atoms.append(Atom(0.0, 1.0 - 1.0 / b))
-    top = 1.0 + 1.0 / b - 1.0 / (b * g)
-    if top > 0.0:
-        atoms.append(Atom(1.0 / g, top))
+    if params.p + g > 1.0:
+        atoms.append(Atom(1.0 / g, 1.0 + 1.0 / b - 1.0 / (b * g)))
     return tuple(atoms)
 
 
@@ -139,44 +135,13 @@ def manova_density(x, params: ManovaParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _edge_substituted(params: ManovaParams):
-    """Integrand factory: integral of g(x) f(x) dx over the support equals
-    integral over theta in [0, pi/2] of g(x(th)) * w(th) dth."""
-    edges = support_edges(params)
-    b, g = params.beta, params.gamma
-    span = edges.r_plus - edges.r_minus
-
-    def x_of(th):
-        return edges.r_minus + span * np.sin(th) ** 2
-
-    def weight(th):
-        x = x_of(th)
-        s2 = np.sin(th) ** 2
-        c2 = np.cos(th) ** 2
-        return span ** 2 * s2 * c2 / (b * np.pi * x * (1.0 - g * x))
-
-    return x_of, weight
-
-
-def _integrate_against_density(fn, params: ManovaParams) -> float:
-    """quad of fn(x) against the continuous density (edge substitution)."""
-    x_of, weight = _edge_substituted(params)
-    val, _ = integrate.quad(lambda th: fn(x_of(th)) * weight(th),
-                            0.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-11,
-                            limit=200)
-    return val
-
-
-def manova_cdf(x, params: ManovaParams):
-    """CDF of the full law (continuous part plus point masses)."""
-    return ManovaDistribution(params).cdf(x)
-
-
 class ManovaDistribution:
-    """MANOVA(beta, gamma) law with a cached cumulative grid.
+    """MANOVA(beta, gamma) law: support edges, point masses and the
+    edge-substituted continuous part.  gamma = 0 is Marchenko-Pastur(beta).
 
     cdf() on arrays interpolates a fine trapezoid grid in the substituted
-    variable (error ~1e-9); moment() and cdf_quad() use adaptive quadrature.
+    variable (error ~1e-9), built on the first call; integrate(), moment()
+    and cdf_quad() use adaptive quadrature.
     """
 
     _GRID = 32769
@@ -187,11 +152,29 @@ class ManovaDistribution:
         self.atoms = manova_atoms(params)
         self._mass0 = sum(a.mass for a in self.atoms if a.location == 0.0)
         self._mass_top = sum(a.mass for a in self.atoms if a.location > 0.0)
-        x_of, weight = _edge_substituted(params)
-        th = np.linspace(0.0, math.pi / 2.0, self._GRID)
-        self._th = th
-        self._xgrid = x_of(th)
-        self._cum = integrate.cumulative_trapezoid(weight(th), th, initial=0.0)
+        self._grid = None
+
+    def _x_of(self, th):
+        span = self.edges.r_plus - self.edges.r_minus
+        return self.edges.r_minus + span * np.sin(th) ** 2
+
+    def _weight(self, th):
+        """Density in theta: the integral of g(x) f(x) dx over the support
+        equals the integral over theta in [0, pi/2] of g(x(th)) w(th) dth."""
+        b, g = self.params.beta, self.params.gamma
+        span = self.edges.r_plus - self.edges.r_minus
+        x = self._x_of(th)
+        s2 = np.sin(th) ** 2
+        c2 = np.cos(th) ** 2
+        return span ** 2 * s2 * c2 / (b * np.pi * x * (1.0 - g * x))
+
+    def integrate(self, fn) -> float:
+        """Integral of fn against the full law: quad over the continuous
+        part plus fn at each point mass."""
+        val, _ = integrate.quad(lambda th: fn(self._x_of(th)) * self._weight(th),
+                                0.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-11,
+                                limit=200)
+        return val + sum(a.mass * fn(a.location) for a in self.atoms)
 
     def pdf(self, x):
         return manova_density(x, self.params)
@@ -201,11 +184,19 @@ class ManovaDistribution:
         u = np.clip((np.asarray(x, dtype=float) - self.edges.r_minus) / span, 0.0, 1.0)
         return np.arcsin(np.sqrt(u))
 
+    def _cumulative(self):
+        if self._grid is None:
+            th = np.linspace(0.0, math.pi / 2.0, self._GRID)
+            self._grid = (th, integrate.cumulative_trapezoid(self._weight(th), th,
+                                                             initial=0.0))
+        return self._grid
+
     def cdf(self, x):
+        th, cum = self._cumulative()
         x = np.asarray(x, dtype=float)
-        cont = np.interp(self._theta(x), self._th, self._cum)
+        cont = np.interp(self._theta(x), th, cum)
         cont = np.where(x < self.edges.r_minus, 0.0, cont)
-        cont = np.where(x >= self.edges.r_plus, self._cum[-1], cont)
+        cont = np.where(x >= self.edges.r_plus, cum[-1], cont)
         out = cont + np.where(x >= 0.0, self._mass0, 0.0)
         if self._mass_top:
             out = out + np.where(x >= 1.0 / self.params.gamma, self._mass_top, 0.0)
@@ -217,63 +208,21 @@ class ManovaDistribution:
         if x < self.edges.r_minus:
             cont = 0.0
         else:
-            _, weight = _edge_substituted(self.params)
             hi = float(self._theta(min(x, self.edges.r_plus)))
-            cont, _ = integrate.quad(weight, 0.0, hi, epsabs=1e-12, limit=200)
+            cont, _ = integrate.quad(self._weight, 0.0, hi, epsabs=1e-12, limit=200)
         out = cont + (self._mass0 if x >= 0.0 else 0.0)
         if self._mass_top and x >= 1.0 / self.params.gamma:
             out += self._mass_top
         return out
 
     def total_mass(self) -> float:
-        return (_integrate_against_density(lambda x: np.ones_like(x), self.params)
-                + self._mass0 + self._mass_top)
+        return self.moment(0)
 
     def moment(self, d: int) -> float:
         """Integral of x^d against the full law (beta normalization)."""
         if d < 0 and self._mass0 > 0.0:
             raise ValueError("negative moment diverges: law has mass at zero")
-        val = _integrate_against_density(lambda x: x ** d, self.params)
-        if self._mass_top:
-            val += self._mass_top * (1.0 / self.params.gamma) ** d
-        if d >= 0:
-            val += self._mass0 * (1.0 if d == 0 else 0.0)
-        return val
-
-
-# ---------------------------------------------------------------------------
-# Marchenko-Pastur (the gamma -> 0 limit)
-
-def mp_edges(beta: float) -> SupportEdges:
-    return SupportEdges((1.0 - math.sqrt(beta)) ** 2, (1.0 + math.sqrt(beta)) ** 2)
-
-
-def mp_density(x, beta: float):
-    """Marchenko-Pastur density with ratio parameter beta in (0, 1]."""
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must be in (0, 1]; got {beta}")
-    lo, hi = mp_edges(beta)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = (x > lo) & (x < hi)
-    xi = x[inside]
-    out[inside] = np.sqrt((xi - lo) * (hi - xi)) / (2.0 * np.pi * beta * xi)
-    return float(out) if out.ndim == 0 else out
-
-
-def mp_moment_numeric(d: int, beta: float) -> float:
-    """Integral of x^d against the MP(beta) density (edge substitution)."""
-    lo, hi = mp_edges(beta)
-    span = hi - lo
-    if d < 0 and lo == 0.0:
-        raise ValueError("negative moment diverges at the hard edge")
-
-    def integrand(th):
-        x = lo + span * np.sin(th) ** 2
-        return x ** d * span ** 2 * np.sin(th) ** 2 * np.cos(th) ** 2 / (np.pi * beta * x)
-
-    val, _ = integrate.quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-10, limit=200)
-    return val
+        return self.integrate(lambda x: x ** d)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +230,8 @@ def mp_moment_numeric(d: int, beta: float) -> float:
 
 def manova_moment_numeric(d: int, params: ManovaParams) -> float:
     """The n-normalized subset moment min(p, gamma) * E[t^d] of the
-    stripped-zero (gamma, p) law; equals p * E_f[x^d] + atom term.
+    stripped-zero (gamma, p) law; equals p times the beta-normalized
+    moment without the mass at zero.
 
     d = -1 is the inverse moment and needs beta < 1.
     """
@@ -290,12 +240,8 @@ def manova_moment_numeric(d: int, params: ManovaParams) -> float:
         raise ValueError("only d >= -1 is supported")
     if d == -1 and not params.beta < 1.0:
         raise ValueError("d = -1 requires beta < 1")
-    p, g = params.p, params.gamma
-    val = p * _integrate_against_density(lambda x: x ** d, params)
-    top = max(0.0, p + g - 1.0)
-    if top > 0.0:
-        val += top * g ** (-d)
-    return val
+    law = ManovaDistribution(params)
+    return params.p * (law.moment(d) - (law._mass0 if d == 0 else 0.0))
 
 
 def manova_moment_closed(d: int, params: ManovaParams) -> float:

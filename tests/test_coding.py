@@ -46,7 +46,8 @@ class TestAmplification:
 
 class TestRates:
     def test_rate_vanishes_at_unit_sdr(self):
-        assert cg.rate_sc(0.8, 0.5, 1.0 + 1e-12, "manova") == pytest.approx(0.0, abs=1e-9)
+        for sdr in (1.0 + 1e-12, 1.0):
+            assert cg.rate_sc(0.8, 0.5, sdr, "manova") == pytest.approx(0.0, abs=1e-9)
 
     def test_unit_amplification_leaves_redundancy_term_only(self):
         # a unitary frame has Lambda = 1 for every pattern, so the
@@ -94,6 +95,13 @@ class TestCapacity:
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
             cg.capacity_cc(0.8, 0.5, 10.0, "manova")
+
+    def test_effective_snr_overflow_raises(self):
+        # snr * beta / Lambda overflows to inf; log2(inf) must not pass
+        with pytest.raises(OverflowError):
+            cg.optimize_beta("channel", 0.5, 1e305, "manova")
+        _, c = cg.optimize_beta("channel", 0.5, 1e192, "manova")
+        assert math.isfinite(c)
 
 
 class TestOptimizeBeta:

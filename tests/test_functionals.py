@@ -97,7 +97,7 @@ class TestLimitingValue:
     def test_mp_ac_exceeds_manova_ac(self):
         # lower is better: the MANOVA law strictly beats Marchenko-Pastur
         beta = 0.8
-        mp = limiting_value(AC, beta, law="mp")
+        mp = limiting_value(AC, ManovaParams(beta, 0.0))
         man = limiting_value(AC, ManovaParams(beta, 0.5))
         assert mp == pytest.approx(1 / (1 - beta), abs=1e-7)
         assert mp > man
@@ -105,7 +105,7 @@ class TestLimitingValue:
     def test_mp_shannon_below_manova(self):
         spec = FunctionalSpec("shannon", alpha=1.0)
         man = limiting_value(spec, ManovaParams(0.8, 0.5))
-        mp = limiting_value(spec, 0.8, law="mp")
+        mp = limiting_value(spec, ManovaParams(0.8, 0.0))
         assert man > mp  # higher is better
 
     def test_ac_limit_rejects_beta_one(self):

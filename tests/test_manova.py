@@ -45,15 +45,16 @@ class TestDensity:
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_mp_limit_small_gamma(self):
-        # the gap to MP shrinks linearly in gamma (~1.5e-4 per 1e-3 of gamma
-        # in the bulk at beta = 0.8)
+        # the gap to MP = MANOVA(beta, 0) shrinks linearly in gamma (~1.5e-4
+        # per 1e-3 of gamma in the bulk at beta = 0.8)
+        mp = mv.ManovaParams(0.8, 0.0)
         assert mv.manova_density(0.8, mv.ManovaParams(0.8, 1e-3)) == pytest.approx(
-            mv.mp_density(0.8, 0.8), abs=1e-4)
+            mv.manova_density(0.8, mp), abs=1e-4)
         for x in [0.3, 0.8, 1.2, 1.8, 2.5]:
             gap_1 = abs(mv.manova_density(x, mv.ManovaParams(0.8, 1e-3))
-                        - mv.mp_density(x, 0.8))
+                        - mv.manova_density(x, mp))
             gap_2 = abs(mv.manova_density(x, mv.ManovaParams(0.8, 2.5e-4))
-                        - mv.mp_density(x, 0.8))
+                        - mv.manova_density(x, mp))
             assert gap_2 < 5e-5
             assert gap_2 == pytest.approx(gap_1 / 4, rel=0.05)
 
@@ -113,22 +114,26 @@ class TestCdf:
 
 
 class TestMarchenkoPastur:
+    """MP(beta) is MANOVA(beta, gamma = 0)."""
+
     def test_integrates_to_one(self):
-        assert mv.mp_moment_numeric(0, 0.8) == pytest.approx(1.0, abs=1e-8)
+        mp = mv.ManovaDistribution(mv.ManovaParams(0.8, 0.0))
+        assert mp.moment(0) == pytest.approx(1.0, abs=1e-8)
 
     def test_edges(self):
-        lo, hi = mv.mp_edges(0.8)
+        lo, hi = mv.support_edges(mv.ManovaParams(0.8, 0.0))
         assert lo == pytest.approx((1 - math.sqrt(0.8)) ** 2)
         assert hi == pytest.approx((1 + math.sqrt(0.8)) ** 2)
 
     def test_degenerate_limit_concentrates(self):
-        lo, hi = mv.mp_edges(1e-6)
+        lo, hi = mv.support_edges(mv.ManovaParams(1e-6, 0.0))
         assert lo == pytest.approx(1.0, abs=3e-3)
         assert hi == pytest.approx(1.0, abs=3e-3)
 
     def test_inverse_moment_closed_form(self):
         # known: E[1/X] = 1/(1-beta) for MP(beta)
-        assert mv.mp_moment_numeric(-1, 0.8) == pytest.approx(5.0, abs=1e-7)
+        mp = mv.ManovaDistribution(mv.ManovaParams(0.8, 0.0))
+        assert mp.moment(-1) == pytest.approx(5.0, abs=1e-7)
 
 
 class TestMoments:
@@ -213,6 +218,8 @@ class TestEtaChain:
 def test_params_validation():
     with pytest.raises(ValueError):
         mv.ManovaParams(0.8, 1.5)
+    with pytest.raises(ValueError):
+        mv.ManovaParams(0.8, -0.1)
     with pytest.raises(ValueError):
         mv.ManovaParams(-0.1, 0.5)
     with pytest.raises(ValueError):

@@ -67,7 +67,7 @@ class TestSubsetGramSpectrum:
 
     def test_etf_pair_is_welch_offset(self):
         F = fr.construct_real_paley(13)
-        w = math.sqrt(fr.welch_max_bound(F.n, F.m))
+        w = math.sqrt(fr.welch_rms_bound(F.n, F.m))
         spec = sp.subset_gram_spectrum(F, np.array([3, 9]))
         assert spec.eigenvalues == pytest.approx([1 - w, 1 + w], abs=1e-10)
 
