@@ -21,10 +21,15 @@ def main():
     args = ap.parse_args()
 
     sizes = tuple(int(s) for s in args.sizes.split(","))
+    if len(set(sizes)) < hs.MIN_FIT_POINTS:
+        ap.error(f"the fit needs at least {hs.MIN_FIT_POINTS} distinct sizes")
     fam_records, skipped = hs.run_ks_batch(args.family, sizes, args.beta,
                                            args.gamma, args.trials, args.seed)
     for size, why in skipped:
         print(f"skipped n={size}: {why}")
+    if len(fam_records) < hs.MIN_FIT_POINTS:
+        raise SystemExit(f"only {len(fam_records)} ladder sizes ran; "
+                         f"the fit needs at least {hs.MIN_FIT_POINTS}")
     base_records, _ = hs.run_ks_batch(args.baseline, sizes, args.beta,
                                       args.gamma, args.trials, args.seed)
     fit = hs.fit_power_law(fam_records, "test1")

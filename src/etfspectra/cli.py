@@ -190,13 +190,27 @@ def _harness_common(args):
     return sizes
 
 
+def _require_rungs(cmd, count, need, skipped=()):
+    """Exit with a one-line reason when a ladder is too short to fit."""
+    if count >= need:
+        return
+    if skipped:
+        lost = ",".join(str(size) for size, _ in skipped)
+        why = f"only {count} ladder sizes ran (skipped {lost})"
+    else:
+        why = f"the ladder has {count} distinct sizes"
+    raise SystemExit(f"harness {cmd}: {why}; the fit needs at least {need}")
+
+
 def _cmd_harness_test1(args):
     sizes = _harness_common(args)
+    _require_rungs("test1", len(set(sizes)), harness.MIN_FIT_POINTS)
     records, skipped = harness.run_ks_batch(args.family, sizes, args.beta,
                                             args.gamma, args.trials, args.seed)
     for size, why in skipped:
         print(f"skipped n={size}: {why}", file=sys.stderr)
     harness.export(records, "csv", args.out, config=_config_dict(args, sizes))
+    _require_rungs("test1", len(records), harness.MIN_FIT_POINTS, skipped)
     fit = harness.fit_power_law(records, "test1")
     print(f"test1 {args.family}: slope={fit.slope:.5f} se={fit.stderr:.5f} "
           f"R2={fit.r_squared:.5f} -> {args.out}")
@@ -204,19 +218,22 @@ def _cmd_harness_test1(args):
 
 def _cmd_harness_test2(args):
     sizes = _harness_common(args)
+    _require_rungs("test2", len(set(sizes)), harness.MIN_BASELINE_POINTS)
     spec = FunctionalSpec(args.functional, delta=args.delta, alpha=args.alpha)
     real_families = ("real_paley", "spikes_hadamard", "random_cosine", "haar_real",
                      "gaussian_iid")
     base_family = ("manova_ensemble_real" if args.family in real_families
                    else "manova_ensemble")
-    baseline, _ = harness.run_functional_batch(base_family, sizes, spec, args.beta,
-                                               args.gamma, args.trials, args.seed)
-    b0, a0, ratio = harness.fit_baseline_loglog(baseline)
+    baseline, base_skipped = harness.run_functional_batch(
+        base_family, sizes, spec, args.beta, args.gamma, args.trials, args.seed)
     records, skipped = harness.run_functional_batch(args.family, sizes, spec, args.beta,
                                                     args.gamma, args.trials, args.seed)
     for size, why in skipped:
         print(f"skipped n={size}: {why}", file=sys.stderr)
     harness.export(records, "csv", args.out, config=_config_dict(args, sizes))
+    _require_rungs("test2", len(baseline), harness.MIN_BASELINE_POINTS, base_skipped)
+    _require_rungs("test2", len(records), harness.MIN_FIT_POINTS, skipped)
+    b0, a0, ratio = harness.fit_baseline_loglog(baseline)
     fit = harness.fit_power_law(records, "test2", ratio=ratio)
     base_fit = harness.fit_power_law(baseline, "test2", ratio=ratio)
     p = harness.t_test_equal_slopes(fit, base_fit)

@@ -138,7 +138,10 @@ def rate_sc(beta: float, p: float, sdr: float, model) -> float:
     if sdr < 1.0:
         raise ValueError("rate is defined for sdr >= 1")
     lam = amplification(model, beta, p)
-    return (1.0 / beta) * 0.5 * p * math.log2(1.0 + (sdr - 1.0) * beta * lam)
+    effective = (sdr - 1.0) * beta * lam
+    if not math.isfinite(effective):
+        raise OverflowError(f"effective SDR overflows at sdr={sdr}, beta={beta}")
+    return (1.0 / beta) * 0.5 * p * math.log2(1.0 + effective)
 
 
 def rate_sc_high_resolution(beta: float, p: float, sdr: float, model) -> float:

@@ -49,6 +49,8 @@ __all__ = [
     "worker_count",
     "DESK_SIZES",
     "FULL_SIZES",
+    "MIN_FIT_POINTS",
+    "MIN_BASELINE_POINTS",
 ]
 
 # primes = 3 (mod 4), so the ladder serves DSS directly; the full profile
@@ -57,6 +59,11 @@ DESK_SIZES = (103, 211, 431, 863)
 FULL_SIZES = (1031, 1151, 1291, 1451, 1571, 1811, 1951)
 
 ENSEMBLE_FAMILIES = ("manova_ensemble", "manova_ensemble_real")
+
+# fewest ladder rungs the fits accept: fit_power_law has one regressor,
+# fit_baseline_loglog two
+MIN_FIT_POINTS = 3
+MIN_BASELINE_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -282,8 +289,8 @@ def fit_power_law(records, model: str = "test1", ratio: float | None = None) -> 
     loglog-to-log coefficient ratio (see fit_baseline_loglog); the slope
     estimates the power exponent and slope * ratio the log exponent.
     """
-    if len(records) < 3:
-        raise ValueError("need at least 3 ladder points")
+    if len(records) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} ladder points")
     ns = np.array([r.n for r in records], dtype=float)
     if model == "test1":
         y = -0.5 * np.log(np.array([r.variance for r in records]))
@@ -309,8 +316,8 @@ def fit_baseline_loglog(records) -> tuple[float, float, float]:
     Returns (coef_log_n, coef_loglog_n, ratio) with ratio their quotient,
     used as the fixed log-exponent ratio in the frame fits.
     """
-    if len(records) < 4:
-        raise ValueError("need at least 4 ladder points for two regressors")
+    if len(records) < MIN_BASELINE_POINTS:
+        raise ValueError(f"need at least {MIN_BASELINE_POINTS} ladder points for two regressors")
     ns = np.array([r.n for r in records], dtype=float)
     y = -np.log(np.array([r.mean for r in records]))
     X = np.column_stack([np.log(ns), np.log(np.log(ns))])

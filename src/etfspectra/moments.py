@@ -14,7 +14,13 @@ live here:
   erasure patterns (the independent oracle),
 * ``asymptotic_moment`` evaluates the n -> infinity polynomial for
   equiangular tight frames by contracting the d-cycle along non-crossing
-  partitions (exact rational arithmetic).
+  partitions (exact rational arithmetic).  The census of contracted cycle
+  types is counted in closed form: the cycles left by a partition pi are
+  the blocks of size >= 2 of its Kreweras complement, and the non-crossing
+  partitions with b blocks of sizes lambda number
+  d! / ((d - b + 1)! prod_j m_j!), m_j the multiplicity of size j
+  (Kreweras 1972).  The cost is one term per integer partition of d (77
+  at d = 12) instead of one per non-crossing partition (208 012).
 
 The erasure Welch bound ``ewb_bound`` is the proven lower bound on m_d for
 d = 2, 3, 4; tight frames meet it at d = 2, 3 and ETFs also at d = 4.
@@ -270,15 +276,41 @@ def contract_cycle(partition, d: int | None = None) -> tuple:
     return tuple(sorted(cycles))
 
 
+def _integer_partitions(d: int, largest: int):
+    """Integer partitions of d into parts <= largest, as non-increasing tuples."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(min(d, largest), 0, -1):
+        for rest in _integer_partitions(d - first, first):
+            yield (first,) + rest
+
+
 def partition_census(d: int) -> dict:
     """{k: {cycle-length tuple: count}} over non-crossing partitions with k
-    blocks; the counts per k sum to the Narayana number N(d, k)."""
+    blocks; the counts per k sum to the Narayana number N(d, k).
+
+    Counted in closed form, without enumerating the Catalan(d) partitions.
+    Contracting the d-cycle along pi leaves one cycle per block of size
+    >= 2 of its Kreweras complement K(pi), with that block's size as its
+    length, and K maps the partitions with k blocks one-to-one onto those
+    with d + 1 - k blocks.  The non-crossing partitions of {1..d} whose
+    block sizes form the integer partition lambda (b parts, m_j parts equal
+    to j) number d! / ((d - b + 1)! prod_j m_j!) (G. Kreweras, "Sur les
+    partitions non croisees d'un cycle", Discrete Math. 1 (1972) 333-350).
+    So each lambda adds that count to census[d + 1 - b] at its parts >= 2;
+    with b fixed, those parts determine lambda.
+    """
+    d = int(d)
+    if not 1 <= d <= MAX_PARTITION_D:
+        raise ValueError(f"d must be in 1..{MAX_PARTITION_D}; got {d}")
     census: dict = {}
-    for part in enumerate_noncrossing_partitions(d):
-        k = part.n_blocks
-        cyc = contract_cycle(part, d)
-        census.setdefault(k, {})
-        census[k][cyc] = census[k].get(cyc, 0) + 1
+    for lam in _integer_partitions(d, d):
+        b = len(lam)
+        ways = math.prod(math.factorial(lam.count(j)) for j in set(lam))
+        count = math.factorial(d) // (math.factorial(d - b + 1) * ways)
+        cycles = tuple(sorted(j for j in lam if j >= 2))
+        census.setdefault(d + 1 - b, {})[cycles] = count
     return census
 
 

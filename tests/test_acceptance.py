@@ -118,13 +118,13 @@ def test_criterion_3_moment_engine_exactness():
         for k, total in sums.items():
             if sum(census[k].values()) != total or total != mo.narayana(d, k):
                 problems.append(f"narayana sum d={d} k={k}")
-    for d in range(1, 11):
+    for d in range(1, mo.MAX_ASYMPTOTIC_D + 1):
         got = mo.asymptotic_moment(d).at_p_one()
         want = tuple(math.comb(d - 1, j) for j in range(d))
         if tuple(int(c) for c in got) + (0,) * (d - len(got)) != want:
             problems.append(f"p=1 identity d={d}")
     budget.finish(not problems, "m_2..m_6 exact, Narayana block sums, p=1 "
-                                f"identity to d=10{'; failed: ' + ', '.join(problems) if problems else ''}")
+                                f"identity to d={mo.MAX_ASYMPTOTIC_D}{'; failed: ' + ', '.join(problems) if problems else ''}")
 
 
 def test_criterion_4_manova_analytic_consistency():

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -115,3 +119,39 @@ def test_harness_test2(tmp_path, capsys):
         "--alpha", "1", "--trials", "8", "--seed", "0",
         "--sizes", "32,64,128,256", "--out", str(out))
     assert "p_equal=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd,sizes,need", [("test1", "103,211", 3),
+                                            ("test2", "32,64,128", 4),
+                                            ("test1", "103,103,211", 3)])
+def test_harness_short_ladder_rejected_before_running(tmp_path, cmd, sizes, need):
+    out = tmp_path / "short.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["harness", cmd, "--sizes", sizes, "--trials", "4", "--out", str(out)])
+    assert f"the fit needs at least {need}" in str(exc.value.code)
+    assert not out.exists()
+
+
+def test_harness_skipped_sizes_keep_export_then_exit(tmp_path, capsys):
+    out = tmp_path / "test1.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["harness", "test1", "--family", "dss", "--trials", "4",
+              "--sizes", "103,211,100", "--out", str(out)])
+    msg = str(exc.value.code)
+    assert "only 2 ladder sizes ran (skipped 100)" in msg
+    assert "skipped n=100" in capsys.readouterr().err
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [r[1] for r in rows] == ["103", "211"]
+
+
+def test_harness_short_ladder_exits_without_traceback(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "etfspectra.cli", "harness", "test1",
+                           "--family", "dss", "--sizes", "103,211",
+                           "--out", str(tmp_path / "x.csv")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode != 0
+    assert proc.stderr.strip().splitlines() == [
+        "harness test1: the ladder has 2 distinct sizes; the fit needs at least 3"]

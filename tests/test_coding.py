@@ -103,6 +103,13 @@ class TestCapacity:
         _, c = cg.optimize_beta("channel", 0.5, 1e192, "manova")
         assert math.isfinite(c)
 
+    def test_effective_sdr_overflow_raises(self):
+        # (sdr - 1) * beta * Lambda overflows to inf; log2(inf) must not pass
+        with pytest.raises(OverflowError):
+            cg.optimize_beta("source", 0.5, 1e308, "manova")
+        _, r = cg.optimize_beta("source", 0.5, 1e192, "manova")
+        assert math.isfinite(r)
+
 
 class TestOptimizeBeta:
     def test_source_high_sdr_asymptote(self):

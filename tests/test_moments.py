@@ -25,6 +25,16 @@ def all_set_partitions(elements):
         yield sub + [[first]]
 
 
+def enumerated_census(d):
+    """Oracle: contract the d-cycle along every non-crossing partition."""
+    census = {}
+    for part in mo.enumerate_noncrossing_partitions(d):
+        by_cycles = census.setdefault(part.n_blocks, {})
+        cycles = mo.contract_cycle(part, d)
+        by_cycles[cycles] = by_cycles.get(cycles, 0) + 1
+    return census
+
+
 class TestCombinatorics:
     def test_narayana_values(self):
         assert mo.narayana(5, 2) == 10
@@ -116,7 +126,7 @@ class TestAsymptoticMoment:
             got = list(poly.blocks[k]) + [Fr(0)] * (len(coeffs) - len(poly.blocks[k]))
             assert got == [Fr(c) for c in coeffs], (d, k)
 
-    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("d", range(1, mo.MAX_ASYMPTOTIC_D + 1))
     def test_p_one_specialization(self, d):
         expect = tuple(Fr(math.comb(d - 1, j)) for j in range(d))
         got = mo.asymptotic_moment(d).at_p_one()
@@ -131,11 +141,20 @@ class TestAsymptoticMoment:
                             for j in range(1, d)]
         assert list(blk) == expect
 
-    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("d", range(2, mo.MAX_ASYMPTOTIC_D + 1))
     def test_census_multiplicities_sum_to_narayana(self, d):
         census = mo.partition_census(d)
         for k in range(2, d + 1):
             assert sum(census[k].values()) == mo.narayana(d, k)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_census_matches_enumeration(self, d):
+        assert mo.partition_census(d) == enumerated_census(d)
+
+    def test_census_guard(self):
+        for d in (0, mo.MAX_PARTITION_D + 1):
+            with pytest.raises(ValueError):
+                mo.partition_census(d)
 
     def test_printed_census_decompositions(self):
         census = mo.partition_census(6)
