@@ -9,9 +9,8 @@ import math
 import numpy as np
 
 from etfspectra import frames as fr
-from etfspectra import spectra as sp
 from etfspectra.functionals import FunctionalSpec, evaluate
-from etfspectra.rng import derive_rng
+from etfspectra.spectra import run_trials
 
 
 def run(sizes, betas, trials, seed):
@@ -24,11 +23,8 @@ def run(sizes, betas, trials, seed):
             k = round(beta * m)
             p = k / n
             limit = (1 - p) / (1 - k / m)
-            rng = derive_rng(seed, n, round(100 * beta))
-            vals = np.array([
-                evaluate(spec, sp.subset_gram_spectrum(
-                    F, sp.select(n, "uniform_k", rng, k=k)))
-                for _ in range(trials)])
+            vals = np.array(run_trials(F, trials, lambda s: evaluate(spec, s), seed,
+                                       (n, round(100 * beta)), k=k))
             rmse = math.sqrt(np.mean((vals - limit) ** 2))
             print(f"{n:>6} {k / m:>6.3f} {limit:>8.4f} {vals.mean():>8.4f} {rmse:>8.4f}")
 

@@ -12,6 +12,11 @@ Subcommand groups mirror the library layout:
     etfspectra coding curve --direction sc --p 0.5 --model manova --sdr-db 0:60:2 --optimize-beta --out rd.csv
     etfspectra harness test1 --family dss --beta 0.8 --gamma 0.5 --profile desk --out test1.csv
     etfspectra harness test2 --functional shannon --alpha 1 --family dss --out test2.csv
+
+Both harness tests run the family's ladder and the MANOVA-ensemble baseline
+at the frame's own (n, m, k), fit both, and print the equal-slope t-test p.
+Every sampling command draws trial t from (seed, t), on the trial engine
+of ``spectra.run_trials``.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ import numpy as np
 
 from . import coding, frames, frameio, harness, manova, moments
 from .functionals import FunctionalSpec, evaluate
-from .rng import derive_rng
-from .spectra import select, subset_gram_spectrum
+from .spectra import run_trials
 
 
 def _write_csv(path, columns, rows, header=None):
@@ -56,12 +60,9 @@ def _cmd_frames_construct(args):
 
 def _cmd_spectra_sample(args):
     F = frameio.load_frame(args.frame)
-    rng = derive_rng(args.seed)
-    rows = []
-    for trial in range(args.trials):
-        sel = select(F.n, "uniform_k", rng, k=args.k)
-        ev = subset_gram_spectrum(F, sel).eigenvalues
-        rows += [(trial, i, repr(float(v))) for i, v in enumerate(ev)]
+    spectra = run_trials(F, args.trials, lambda spec: spec.eigenvalues, args.seed, k=args.k)
+    rows = [(trial, i, repr(float(v)))
+            for trial, ev in enumerate(spectra) for i, v in enumerate(ev)]
     _write_csv(args.out, ("trial", "index", "eigenvalue"), rows,
                header=f"spectra sample k={args.k} trials={args.trials} seed={args.seed}")
     print(f"wrote {len(rows)} eigenvalues -> {args.out}")
@@ -89,12 +90,9 @@ def _cmd_manova_density(args):
 def _cmd_functional_eval(args):
     F = frameio.load_frame(args.frame)
     spec = FunctionalSpec(args.kind, delta=args.delta, alpha=args.alpha)
-    rng = derive_rng(args.seed)
-    rows = []
-    for trial in range(args.trials):
-        sel = select(F.n, "uniform_k", rng, k=args.k)
-        val = evaluate(spec, subset_gram_spectrum(F, sel))
-        rows.append((trial, repr(float(val))))
+    vals = run_trials(F, args.trials, lambda spectrum: evaluate(spec, spectrum),
+                      args.seed, k=args.k)
+    rows = [(trial, repr(float(val))) for trial, val in enumerate(vals)]
     _write_csv(args.out, ("trial", "value"), rows,
                header=f"functional {args.kind} k={args.k} trials={args.trials} seed={args.seed}")
     print(f"wrote {args.trials} evaluations -> {args.out}")
@@ -202,44 +200,34 @@ def _require_rungs(cmd, count, need, skipped=()):
     raise SystemExit(f"harness {cmd}: {why}; the fit needs at least {need}")
 
 
-def _cmd_harness_test1(args):
+def _cmd_harness(args):
+    """test1 fits KS-distance variances, test2 functional deviations; both
+    fit the family's ladder and the ensemble baseline at the same rungs and
+    compare the two slopes."""
+    test1 = args.cmd == "test1"
     sizes = _harness_common(args)
-    _require_rungs("test1", len(set(sizes)), harness.MIN_FIT_POINTS)
-    records, skipped = harness.run_ks_batch(args.family, sizes, args.beta,
-                                            args.gamma, args.trials, args.seed)
+    need = harness.MIN_FIT_POINTS if test1 else harness.MIN_BASELINE_POINTS
+    _require_rungs(args.cmd, len(set(sizes)), need)
+    functional = None if test1 else FunctionalSpec(args.functional, delta=args.delta,
+                                                   alpha=args.alpha)
+    records, baseline, skipped = harness.run_ladder(args.family, sizes, args.beta, args.gamma,
+                                                    args.trials, args.seed, functional)
     for size, why in skipped:
         print(f"skipped n={size}: {why}", file=sys.stderr)
     harness.export(records, "csv", args.out, config=_config_dict(args, sizes))
-    _require_rungs("test1", len(records), harness.MIN_FIT_POINTS, skipped)
-    fit = harness.fit_power_law(records, "test1")
-    print(f"test1 {args.family}: slope={fit.slope:.5f} se={fit.stderr:.5f} "
-          f"R2={fit.r_squared:.5f} -> {args.out}")
-
-
-def _cmd_harness_test2(args):
-    sizes = _harness_common(args)
-    _require_rungs("test2", len(set(sizes)), harness.MIN_BASELINE_POINTS)
-    spec = FunctionalSpec(args.functional, delta=args.delta, alpha=args.alpha)
-    real_families = ("real_paley", "spikes_hadamard", "random_cosine", "haar_real",
-                     "gaussian_iid")
-    base_family = ("manova_ensemble_real" if args.family in real_families
-                   else "manova_ensemble")
-    baseline, base_skipped = harness.run_functional_batch(
-        base_family, sizes, spec, args.beta, args.gamma, args.trials, args.seed)
-    records, skipped = harness.run_functional_batch(args.family, sizes, spec, args.beta,
-                                                    args.gamma, args.trials, args.seed)
-    for size, why in skipped:
-        print(f"skipped n={size}: {why}", file=sys.stderr)
-    harness.export(records, "csv", args.out, config=_config_dict(args, sizes))
-    _require_rungs("test2", len(baseline), harness.MIN_BASELINE_POINTS, base_skipped)
-    _require_rungs("test2", len(records), harness.MIN_FIT_POINTS, skipped)
-    b0, a0, ratio = harness.fit_baseline_loglog(baseline)
-    fit = harness.fit_power_law(records, "test2", ratio=ratio)
-    base_fit = harness.fit_power_law(baseline, "test2", ratio=ratio)
-    p = harness.t_test_equal_slopes(fit, base_fit)
-    print(f"test2 {args.family} psi_{args.functional}: b={fit.slope:.5f} "
-          f"a={fit.second_coefficient:.5f} baseline_b={base_fit.slope:.5f} "
-          f"p_equal={p:.5g} -> {args.out}")
+    _require_rungs(args.cmd, len(records), need, skipped)
+    if test1:
+        fit, base = (harness.fit_power_law(r, "test1") for r in (records, baseline))
+        result = (f"test1 {args.family}: slope={fit.slope:.5f} se={fit.stderr:.5f} "
+                  f"R2={fit.r_squared:.5f} baseline_slope={base.slope:.5f} "
+                  f"baseline_se={base.stderr:.5f} baseline_R2={base.r_squared:.5f}")
+    else:
+        _, _, ratio = harness.fit_baseline_loglog(baseline)
+        fit, base = (harness.fit_power_law(r, "test2", ratio=ratio) for r in (records, baseline))
+        result = (f"test2 {args.family} psi_{args.functional}: b={fit.slope:.5f} "
+                  f"a={fit.second_coefficient:.5f} baseline_b={base.slope:.5f}")
+    p = harness.t_test_equal_slopes(fit, base)
+    print(f"{result} p_equal={p:.5g} -> {args.out}")
 
 
 HARNESS_DEFAULTS = {"family": "manova_ensemble", "beta": 0.8, "gamma": 0.5,
@@ -339,9 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("rip", "strip", "ac", "shannon", "max", "min", "cond"))
             c.add_argument("--alpha", type=float, default=1.0)
             c.add_argument("--delta", type=float)
-            c.set_defaults(fn=_cmd_harness_test2)
-        else:
-            c.set_defaults(fn=_cmd_harness_test1)
+        c.set_defaults(fn=_cmd_harness)
 
     return top
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .frames import FrameMatrix
 from .manova import inverse_moment_amplification
-from .rng import derive_rng
-from .spectra import ZERO_CLAMP, select, subset_gram_spectrum
+from .spectra import ZERO_CLAMP, run_trials, subset_gram_spectrum
 
 __all__ = [
     "CodingScenario",
@@ -41,8 +40,6 @@ __all__ = [
     "si_benchmark",
     "mlie",
     "MlieResult",
-    "square_gaussian_divergence_probe",
-    "rectangular_inverse_trace",
 ]
 
 
@@ -89,18 +86,16 @@ def _as_model(model) -> AmplificationModel:
     return model if isinstance(model, AmplificationModel) else AmplificationModel(str(model))
 
 
+def _ahmr(spec) -> float:
+    ev = spec.eigenvalues
+    if ev.min() < ZERO_CLAMP:
+        return math.inf
+    return float(np.mean(1.0 / ev) * np.mean(ev))
+
+
 def empirical_ahmr(F: FrameMatrix, k: int, trials: int, seed=None) -> float:
     """Monte Carlo arithmetic-to-harmonic means ratio of subset spectra."""
-    rng = derive_rng(seed)
-    vals = np.empty(trials)
-    for t in range(trials):
-        sel = select(F.n, "uniform_k", rng, k=k)
-        ev = subset_gram_spectrum(F, sel).eigenvalues
-        if ev.min() < ZERO_CLAMP:
-            vals[t] = math.inf
-        else:
-            vals[t] = np.mean(1.0 / ev) * np.mean(ev)
-    return float(vals.mean())
+    return float(np.mean(run_trials(F, trials, _ahmr, seed, k=k)))
 
 
 def amplification(model, beta: float, p: float) -> float:
@@ -250,11 +245,11 @@ class MlieResult:
     divergent: int
 
 
-def _inverse_energy(F: FrameMatrix, idx) -> float:
-    ev = subset_gram_spectrum(F, np.asarray(idx, dtype=np.int64)).eigenvalues
+def _inverse_energy(spec) -> float:
+    ev = spec.eigenvalues
     if ev.min() < ZERO_CLAMP:
         return math.inf
-    return float(np.sum(1.0 / ev)) / F.m
+    return float(np.sum(1.0 / ev)) / spec.m
 
 
 def mlie(F: FrameMatrix, k: int, mode: str = "exact", trials: int = 1000,
@@ -272,57 +267,13 @@ def mlie(F: FrameMatrix, k: int, mode: str = "exact", trials: int = 1000,
     if mode == "exact":
         if math.comb(n, k) > 10 ** 6:
             raise ValueError("too many patterns for exact mode")
-        etas = [_inverse_energy(F, idx) for idx in itertools.combinations(range(n), k)]
+        etas = [_inverse_energy(subset_gram_spectrum(F, idx))
+                for idx in itertools.combinations(range(n), k)]
     elif mode == "montecarlo":
-        rng = derive_rng(seed)
-        etas = [_inverse_energy(F, select(n, "uniform_k", rng, k=k).indices)
-                for _ in range(trials)]
+        etas = run_trials(F, trials, _inverse_energy, seed, k=k)
     else:
         raise ValueError(f"mode must be exact|montecarlo; got {mode!r}")
     finite = [e for e in etas if math.isfinite(e)]
     divergent = len(etas) - len(finite)
     value = (m / n) * 0.5 * float(np.mean(np.log2(finite))) if finite else math.inf
     return MlieResult(value, len(etas), divergent)
-
-
-def rectangular_inverse_trace(k: int, beta: float, trials: int, seed=None) -> float:
-    """MC mean of (1/k) tr((HH')^-1) for k x m complex Gaussian H with
-    entry variance 1/k and m = round(k/beta); converges to beta/(1-beta)."""
-    m = int(round(k / beta))
-    rng = derive_rng(seed)
-    vals = np.empty(trials)
-    for t in range(trials):
-        H = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) / math.sqrt(2 * k)
-        ev = np.linalg.eigvalsh(H @ H.conj().T)
-        vals[t] = np.sum(1.0 / ev) / k
-    return float(vals.mean())
-
-
-def square_gaussian_divergence_probe(k_values, trials: int = 200, seed=None,
-                                     groups: int = 8) -> list:
-    """Median-of-means of (1/k) tr((AA')^-1) for square complex Gaussian A.
-
-    The estimand is heavy-tailed (its true mean is infinite), so rows carry
-    a ``heavy_tail`` flag and the k^2..k^3 / (2 pi e) envelope
-    is only an order-of-magnitude reference.
-    """
-    rows = []
-    for i, k in enumerate(k_values):
-        rng = derive_rng(seed, i)
-        vals = np.empty(trials)
-        for t in range(trials):
-            A = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / math.sqrt(2 * k)
-            ev = np.linalg.eigvalsh(A @ A.conj().T)
-            vals[t] = np.sum(1.0 / ev) / k
-        means = vals[: groups * (trials // groups)].reshape(groups, -1).mean(axis=1)
-        estimate = float(np.median(means))
-        med = float(np.median(vals))
-        rows.append({
-            "k": int(k),
-            "estimate": estimate,
-            "median": med,
-            "lower_envelope": k ** 2 / (2.0 * math.pi * math.e),
-            "upper_envelope": k ** 3 / (2.0 * math.pi * math.e),
-            "heavy_tail": bool(vals.max() > 10.0 * med),
-        })
-    return rows

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from .rng import derive_rng
 __all__ = [
     "FrameMatrix",
     "FrameParameterError",
-    "CrossCorrelation",
-    "cross_correlation",
     "construct",
     "construct_dss",
     "construct_lowpass_dft",
@@ -51,19 +48,6 @@ __all__ = [
 
 class FrameParameterError(ValueError):
     """Raised when a construction is asked for parameters it does not support."""
-
-
-class CrossCorrelation(NamedTuple):
-    """One Gram entry <f_i, f_j> with its index pair (c_ii = 1 for
-    unit-norm frames)."""
-
-    value: complex
-    pair: tuple
-
-
-def cross_correlation(F, i: int, j: int) -> CrossCorrelation:
-    E = F.entries if isinstance(F, FrameMatrix) else np.asarray(F)
-    return CrossCorrelation(complex(np.vdot(E[:, i], E[:, j])), (i, j))
 
 
 DETERMINISTIC_FAMILIES = (

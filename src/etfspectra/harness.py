@@ -2,16 +2,15 @@
 fits, and slope comparison tests.
 
 A batch builds one frame per ladder size, draws T uniform k-subsets of it
-(or T draws of the same-size MANOVA matrix ensemble as the baseline), and
-measures either the KS distance of each subset spectrum to the limiting
-MANOVA CDF or the squared deviation of a spectral functional from its
-limiting value.  Realized integer ratios beta_n = k/m and gamma_n = m/n
-parameterize the reference law, not the targets.
+(or T draws of the MANOVA matrix ensemble), and measures either the KS
+distance of each subset spectrum to the limiting MANOVA CDF or the squared
+deviation of a spectral functional from its limiting value.  A ladder adds
+the ensemble baseline at each rung's own (n, m, k) and field.  Realized
+integer ratios beta_n = k/m and gamma_n = m/n parameterize the reference
+law, not the targets.
 
-Trials parallelize over a thread pool sized by the ETFSPECTRA_THREADS
-environment variable (LAPACK releases the GIL); per-trial generators are
-derived from (seed, size index, trial), so results do not depend on
-scheduling order.
+Trials run on the engine of ``spectra.run_trials``: trial t at size index i
+draws from (seed, i, t + 1), so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +28,7 @@ from . import frames as fr
 from .functionals import FunctionalSpec, evaluate, limiting_value
 from .manova import ManovaDistribution, ManovaParams
 from .rng import derive_rng
-from .spectra import ks_distance, sample_manova_ensemble, select, subset_gram_spectrum
+from .spectra import ks_distance, run_trials, worker_count
 
 __all__ = [
     "ExperimentRecord",
@@ -39,7 +36,7 @@ __all__ = [
     "resolve_dims",
     "build_frame",
     "run_ks_batch",
-    "run_functional_batch",
+    "run_ladder",
     "fit_power_law",
     "fit_baseline_loglog",
     "t_test_equal_slopes",
@@ -95,27 +92,6 @@ class ExperimentRecord:
     @property
     def mean_square(self) -> float:
         return float(np.mean(np.square(self.values)))
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ETFSPECTRA_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn, count: int):
-    """fn(t) for t in range(count), into indexed slots (order-free)."""
-    out = [None] * count
-    workers = worker_count()
-    if workers == 1:
-        for t in range(count):
-            out[t] = fn(t)
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for t, val in zip(range(count), pool.map(fn, range(count))):
-            out[t] = val
-    return out
 
 
 def resolve_dims(family: str, size: int, beta: float, gamma: float) -> tuple[int, int, int]:
@@ -175,44 +151,45 @@ def build_frame(family: str, size: int, beta: float, gamma: float, seed=None):
     return F, (F.n, F.m, k)
 
 
-def _batch(family, sizes, beta, gamma, trials, seed, statistic_fn, statistic_name):
-    """Shared driver: one record per ladder size; undefined sizes skip."""
-    records = []
-    skipped = []
-    complex_ensemble = family == "manova_ensemble"
+def _batch(family, sizes, beta, gamma, trials, seed, statistic, name, baseline=False):
+    """One record per ladder size the family realizes (undefined sizes skip)
+    and, with ``baseline``, one MANOVA-ensemble record at each such rung's
+    (n, m, k) and field, drawn from the same per-trial streams."""
+    records, base, skipped = [], [], []
     for i, size in enumerate(sizes):
         t0 = time.perf_counter()
         try:
             if family in ENSEMBLE_FAMILIES:
                 n, m, k = resolve_dims("manova", size, beta, gamma)
-                frame = None
-                field_tag = "complex" if complex_ensemble else "real"
+                field_tag = "complex" if family == "manova_ensemble" else "real"
+                source = (n, m, field_tag)
             else:
-                frame, (n, m, k) = build_frame(family, size, beta, gamma,
-                                               seed=derive_rng(seed, i, 0).integers(2 ** 63))
-                field_tag = "complex" if frame.is_complex else "real"
+                source, (n, m, k) = build_frame(family, size, beta, gamma,
+                                                seed=derive_rng(seed, i, 0).integers(2 ** 63))
+                field_tag = "complex" if source.is_complex else "real"
         except fr.FrameParameterError as exc:
             skipped.append((size, str(exc)))
             continue
         params = ManovaParams.from_counts(n, m, k, field=field_tag)
-        ref = ManovaDistribution(params)
+        stat = statistic(params, ManovaDistribution(params))
+        runs = [(source, family, records)]
+        if baseline:
+            label = "manova_ensemble" if field_tag == "complex" else "manova_ensemble_real"
+            runs.append(((n, m, field_tag), label, base))
+        for src, label, out in runs:
+            vals = run_trials(src, trials, stat, seed, (i,), k=k)
+            out.append(ExperimentRecord(
+                frame_family=label, n=n, m=m, k=k, beta=k / m, gamma=m / n,
+                trials=trials, statistic=name, seed=seed,
+                values=tuple(float(v) for v in vals),
+                wall_time=time.perf_counter() - t0))
+            t0 = time.perf_counter()
+    return records, base, skipped
 
-        def one_trial(t, _frame=frame, _n=n, _m=m, _k=k, _params=params,
-                      _ref=ref, _i=i, _field=field_tag):
-            rng = derive_rng(seed, _i, t + 1)
-            if _frame is None:
-                spec = sample_manova_ensemble(_n, _m, _k, _field, rng)
-            else:
-                spec = subset_gram_spectrum(_frame, select(_n, "uniform_k", rng, k=_k))
-            return statistic_fn(spec, _params, _ref)
 
-        vals = _map_indexed(one_trial, trials)
-        records.append(ExperimentRecord(
-            frame_family=family, n=n, m=m, k=k, beta=k / m, gamma=m / n,
-            trials=trials, statistic=statistic_name, seed=seed,
-            values=tuple(float(v) for v in vals),
-            wall_time=time.perf_counter() - t0))
-    return records, skipped
+def _ks(params, ref):
+    jumps = [a.location for a in ref.atoms]
+    return lambda spec: ks_distance(spec, ref.cdf, jump_points=jumps)
 
 
 def run_ks_batch(family: str, sizes, beta: float, gamma: float, trials: int,
@@ -221,31 +198,38 @@ def run_ks_batch(family: str, sizes, beta: float, gamma: float, trials: int,
 
     Returns (records, skipped) where ``skipped`` lists (size, reason) for
     sizes the family cannot realize.  ``family`` may be any frame family or
-    manova_ensemble / manova_ensemble_real for the baseline.
+    manova_ensemble / manova_ensemble_real, drawn at
+    resolve_dims("manova", ...).
     """
     if trials < 2:
         raise ValueError("variance statistics need trials >= 2")
-
-    def stat(spec, params, ref):
-        return ks_distance(spec, ref.cdf,
-                           jump_points=[a.location for a in ref.atoms])
-
-    return _batch(family, sizes, beta, gamma, trials, seed, stat, "ks")
+    records, _, skipped = _batch(family, sizes, beta, gamma, trials, seed, _ks, "ks")
+    return records, skipped
 
 
-def run_functional_batch(family: str, sizes, functional: FunctionalSpec,
-                         beta: float, gamma: float, trials: int, seed=None):
-    """Squared deviation of the functional from its limiting MANOVA value."""
-    limits = {}
+def run_ladder(family: str, sizes, beta: float, gamma: float, trials: int,
+               seed=None, functional: FunctionalSpec | None = None):
+    """A family's ladder and its MANOVA-ensemble baseline at the same rungs.
 
-    def stat(spec, params, ref):
-        key = (params.beta, params.gamma)
-        if key not in limits:
-            limits[key] = limiting_value(functional, params)
-        return (evaluate(functional, spec) - limits[key]) ** 2
-
-    return _batch(family, sizes, beta, gamma, trials, seed, stat,
-                  f"psi_{functional.kind}_sq_dev")
+    The statistic is the KS distance to the limiting MANOVA CDF, or, given
+    ``functional``, the squared deviation of that functional from its
+    limiting value.  The baseline at each rung runs at the family's own
+    (n, m, k) and field, from the same per-trial streams; an ensemble
+    family is its own baseline.  Returns (records, baseline, skipped).
+    """
+    if functional is None:
+        if trials < 2:
+            raise ValueError("variance statistics need trials >= 2")
+        statistic, name = _ks, "ks"
+    else:
+        def statistic(params, ref):
+            limit = limiting_value(functional, params)
+            return lambda spec: (evaluate(functional, spec) - limit) ** 2
+        name = f"psi_{functional.kind}_sq_dev"
+    own = family in ENSEMBLE_FAMILIES
+    records, baseline, skipped = _batch(family, sizes, beta, gamma, trials, seed,
+                                        statistic, name, baseline=not own)
+    return records, records if own else baseline, skipped
 
 
 # ---------------------------------------------------------------------------

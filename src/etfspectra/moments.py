@@ -37,8 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .frames import FrameMatrix, gram
-from .rng import derive_rng
-from .spectra import select, subset_gram_spectrum
+from .spectra import run_trials
 
 __all__ = [
     "MomentPolynomial",
@@ -427,21 +426,11 @@ def empirical_moment(F: FrameMatrix, d: int, trials: int, seed=None,
     Exactly one of ``p`` (Bernoulli selection) or ``k`` (uniform subsets)
     must be given.  Empty draws contribute zero.
     """
-    if (p is None) == (k is None):
-        raise ValueError("give exactly one of p or k")
     d = int(d)
     if d < 1:
         raise ValueError("d must be a positive integer")
-    rng = derive_rng(seed)
-    vals = np.empty(trials)
-    for t in range(trials):
-        sel = (select(F.n, "bernoulli", rng, p=p) if p is not None
-               else select(F.n, "uniform_k", rng, k=k))
-        if sel.k == 0:
-            vals[t] = 0.0
-            continue
-        ev = subset_gram_spectrum(F, sel).eigenvalues
-        vals[t] = float(np.sum(ev ** d)) / F.n
+    vals = np.array(run_trials(F, trials, lambda spec: float(np.sum(spec.eigenvalues ** d)) / F.n,
+                               seed, k=k, p=p))
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return float(vals.mean()), stderr
 

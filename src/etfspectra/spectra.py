@@ -1,5 +1,6 @@
 """Subset spectra: sampling column subsets, Gram eigenvalues, empirical
-CDFs, KS distances, and draws from the MANOVA(n, m, k) matrix ensemble.
+CDFs, KS distances, draws from the MANOVA(n, m, k) matrix ensemble, and the
+Monte Carlo trial engine that every estimator in the package runs on.
 
 The Gram of a selected m-by-k subframe is formed on the smaller side
 (k-by-k when k <= m, else m-by-m); the two sides share their nonzero
@@ -9,6 +10,8 @@ spectrum, so the stored spectrum always has r = min(k, m) entries.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +29,8 @@ __all__ = [
     "empirical_cdf",
     "ks_distance",
     "sample_manova_ensemble",
+    "run_trials",
+    "worker_count",
     "ZERO_CLAMP",
 ]
 
@@ -220,3 +225,57 @@ def sample_manova_ensemble(n: int, m: int, k: int, field: str = "complex",
         ev = ev * (k / m)
     ev, n_clamped = _clamp(np.sort(ev))
     return SubsetSpectrum(ev, n, m, k, clamped=n_clamped)
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo trial engine
+
+def worker_count() -> int:
+    try:
+        return max(1, int(os.environ.get("ETFSPECTRA_THREADS", "1")))
+    except ValueError:
+        return 1
+
+
+def _map_indexed(fn, count: int) -> list:
+    """[fn(t) for t in range(count)], slot t holding fn(t) whatever order
+    the pool ran them in."""
+    workers = worker_count()
+    if workers == 1:
+        return [fn(t) for t in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(count)))
+
+
+def run_trials(source, trials: int, statistic, seed=None, path=(),
+               k: int | None = None, p: float | None = None) -> list:
+    """``statistic(spectrum)`` for each of ``trials`` independent draws.
+
+    ``source`` is a FrameMatrix, whose draw is the Gram spectrum of a
+    uniform k-subset (give ``k``) or of Bernoulli(p) marks (give ``p``) of
+    its columns, or an ensemble spec (n, m, field), whose draw comes from
+    the MANOVA(n, m, k) matrix ensemble.  An empty selection has an empty
+    spectrum.  Trial t draws from derive_rng(seed, *path, t + 1);
+    trials run on a pool of ETFSPECTRA_THREADS threads (LAPACK releases the
+    GIL) into indexed slots, so the values do not depend on scheduling.
+    """
+    if (p is None) == (k is None):
+        raise ValueError("give exactly one of p or k")
+    if isinstance(source, FrameMatrix):
+        F = source
+        mode = "uniform_k" if p is None else "bernoulli"
+
+        def draw(rng):
+            sel = select(F.n, mode, rng, k=k, p=p)
+            if sel.k == 0:
+                return SubsetSpectrum(np.empty(0), F.n, F.m, 0)
+            return subset_gram_spectrum(F, sel)
+    else:
+        n, m, field_tag = source
+        if k is None:
+            raise ValueError("ensemble draws need k")
+
+        def draw(rng):
+            return sample_manova_ensemble(n, m, k, field_tag, rng)
+
+    return _map_indexed(lambda t: statistic(draw(derive_rng(seed, *path, t + 1))), trials)

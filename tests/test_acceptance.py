@@ -25,7 +25,6 @@ from etfspectra import manova as mv
 from etfspectra import moments as mo
 from etfspectra import spectra as sp
 from etfspectra.functionals import FunctionalSpec, evaluate
-from etfspectra.rng import derive_rng
 
 SEED = 0
 
@@ -150,10 +149,8 @@ def test_criterion_5_accuracy_table_reproduction():
     results = {}
     for beta, target, tol in ((0.8, 3.0, 0.03), (0.6, 1.75, 0.01)):
         k = round(beta * 515)
-        rng = derive_rng(SEED, k)
-        vals = [evaluate(FunctionalSpec("ac"),
-                         sp.subset_gram_spectrum(F, sp.select(1031, "uniform_k", rng, k=k)))
-                for _ in range(200)]
+        vals = sp.run_trials(F, 200, lambda spec: evaluate(FunctionalSpec("ac"), spec),
+                             SEED, (k,), k=k)
         results[beta] = (float(np.mean(vals)), target, tol)
     ok = all(abs(mean - target) < tol for mean, target, tol in results.values())
     budget.finish(ok, "; ".join(
@@ -163,11 +160,10 @@ def test_criterion_5_accuracy_table_reproduction():
 
 @pytest.fixture(scope="module")
 def ks_863():
-    """Shared draws for criterion 6: 50 KS distances for DSS(863) and the
-    same-size complex MANOVA ensemble, plus the shared wall time."""
+    """Shared draws for criterion 6: 50 KS distances for DSS(863) and for
+    the complex MANOVA ensemble at its (n, m, k), plus the shared wall time."""
     t0 = time.perf_counter()
-    dss, _ = hs.run_ks_batch("dss", (863,), 0.8, 0.5, 50, seed=SEED)
-    ens, _ = hs.run_ks_batch("manova_ensemble", (863,), 0.8, 0.5, 50, seed=SEED)
+    dss, ens, _ = hs.run_ladder("dss", (863,), 0.8, 0.5, 50, seed=SEED)
     return np.array(dss[0].values), np.array(ens[0].values), time.perf_counter() - t0
 
 
@@ -179,7 +175,8 @@ def test_criterion_6a_universality_ks_level(ks_863):
 
 def test_criterion_6b_universality_baseline_indistinguishable(ks_863):
     # Universality: DSS(863) subsets are no farther from the MANOVA law than
-    # the same-size complex MANOVA ensemble's own draws are.  Tested one-sided
+    # the complex MANOVA ensemble's own draws at the frame's (n, m, k) =
+    # (863, 431, 345) are.  Tested one-sided
     # (H1: the DSS KS distances are stochastically larger) at the 0.01 level.
     # A two-sided test cannot hold here, because the frame is closer to the
     # law than the ensemble: every k-subset of a unit-norm ETF has a Gram of

@@ -8,6 +8,7 @@ from scipy.special import betainc
 
 from etfspectra import coding as cg
 from etfspectra import frames as fr
+from etfspectra.rng import derive_rng
 
 
 class TestAmplification:
@@ -196,9 +197,55 @@ class TestMlie:
             cg.mlie(F, 20, mode="exact")
 
 
+# Gaussian references for the square-case divergence of the amplification;
+# nothing in the package needs them, so they live with their tests.
+
+def rectangular_inverse_trace(k: int, beta: float, trials: int, seed=None) -> float:
+    """MC mean of (1/k) tr((HH')^-1) for k x m complex Gaussian H with
+    entry variance 1/k and m = round(k/beta); converges to beta/(1-beta)."""
+    m = int(round(k / beta))
+    rng = derive_rng(seed)
+    vals = np.empty(trials)
+    for t in range(trials):
+        H = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) / math.sqrt(2 * k)
+        ev = np.linalg.eigvalsh(H @ H.conj().T)
+        vals[t] = np.sum(1.0 / ev) / k
+    return float(vals.mean())
+
+
+def square_gaussian_divergence_probe(k_values, trials: int = 200, seed=None,
+                                     groups: int = 8) -> list:
+    """Median-of-means of (1/k) tr((AA')^-1) for square complex Gaussian A.
+
+    The estimand is heavy-tailed (its true mean is infinite), so rows carry
+    a ``heavy_tail`` flag and the k^2..k^3 / (2 pi e) envelope
+    is only an order-of-magnitude reference.
+    """
+    rows = []
+    for i, k in enumerate(k_values):
+        rng = derive_rng(seed, i)
+        vals = np.empty(trials)
+        for t in range(trials):
+            A = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / math.sqrt(2 * k)
+            ev = np.linalg.eigvalsh(A @ A.conj().T)
+            vals[t] = np.sum(1.0 / ev) / k
+        means = vals[: groups * (trials // groups)].reshape(groups, -1).mean(axis=1)
+        estimate = float(np.median(means))
+        med = float(np.median(vals))
+        rows.append({
+            "k": int(k),
+            "estimate": estimate,
+            "median": med,
+            "lower_envelope": k ** 2 / (2.0 * math.pi * math.e),
+            "upper_envelope": k ** 3 / (2.0 * math.pi * math.e),
+            "heavy_tail": bool(vals.max() > 10.0 * med),
+        })
+    return rows
+
+
 class TestDivergenceProbe:
     def test_growth_and_envelope(self):
-        rows = cg.square_gaussian_divergence_probe([8, 16, 32], trials=160, seed=5)
+        rows = square_gaussian_divergence_probe([8, 16, 32], trials=160, seed=5)
         estimates = [r["estimate"] for r in rows]
         assert estimates == sorted(estimates)  # grows with k
         for r in rows:
@@ -207,11 +254,11 @@ class TestDivergenceProbe:
         assert all("heavy_tail" in r for r in rows)
 
     def test_k8_order_of_magnitude(self):
-        (row,) = cg.square_gaussian_divergence_probe([8], trials=240, seed=1)
+        (row,) = square_gaussian_divergence_probe([8], trials=240, seed=1)
         assert row["lower_envelope"] < row["estimate"] < 10 * row["upper_envelope"]
 
     def test_rectangular_control_is_finite(self):
-        val = cg.rectangular_inverse_trace(120, 0.8, trials=30, seed=2)
+        val = rectangular_inverse_trace(120, 0.8, trials=30, seed=2)
         assert val == pytest.approx(0.8 / 0.2, rel=0.1)
 
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import betainc
 
+from etfspectra import coding as cg
 from etfspectra import frames as fr
 from etfspectra import harness as hs
+from etfspectra import moments as mo
 from etfspectra import spectra as sp
 from etfspectra.functionals import FunctionalSpec
 from etfspectra.manova import ManovaParams, support_edges
@@ -91,6 +93,18 @@ class TestTTest:
         assert p < 1e-6
 
 
+# every caller of the trial engine, as (seed, thread count) -> values
+ENGINE_CALLERS = {
+    "run_ks_batch-dss": lambda: hs.run_ks_batch("dss", (103,), 0.8, 0.5, 8, seed=5)[0][0].values,
+    "run_ks_batch-manova_ensemble": lambda: hs.run_ks_batch(
+        "manova_ensemble", (103,), 0.8, 0.5, 8, seed=5)[0][0].values,
+    "empirical_ahmr": lambda: cg.empirical_ahmr(fr.construct_dss(103), 41, 8, seed=5),
+    "empirical_moment-p": lambda: mo.empirical_moment(fr.construct_dss(103), 4, 8, seed=5, p=0.4),
+    "empirical_moment-k": lambda: mo.empirical_moment(fr.construct_dss(103), 4, 8, seed=5, k=41),
+    "mlie-montecarlo": lambda: cg.mlie(fr.construct_dss(103), 41, "montecarlo", 8, seed=5),
+}
+
+
 class TestBatches:
     def test_trials_guard(self):
         with pytest.raises(ValueError):
@@ -119,17 +133,32 @@ class TestBatches:
         b, _ = hs.run_ks_batch("manova_ensemble", (64,), 0.8, 0.5, 6, seed=3)
         assert a[0].values == b[0].values
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        a, _ = hs.run_ks_batch("dss", (103,), 0.8, 0.5, 8, seed=5)
-        monkeypatch.setenv("ETFSPECTRA_THREADS", "4")
-        b, _ = hs.run_ks_batch("dss", (103,), 0.8, 0.5, 8, seed=5)
-        assert a[0].values == b[0].values
+    @pytest.mark.parametrize("case", sorted(ENGINE_CALLERS))
+    def test_thread_count_does_not_change_results(self, monkeypatch, case):
+        monkeypatch.setenv("ETFSPECTRA_THREADS", "1")
+        a = ENGINE_CALLERS[case]()
+        monkeypatch.setenv("ETFSPECTRA_THREADS", "2")
+        b = ENGINE_CALLERS[case]()
+        assert a == b
 
     def test_functional_batch_shrinks_with_n(self):
         spec = FunctionalSpec("shannon", alpha=1.0)
-        records, _ = hs.run_functional_batch("manova_ensemble", (64, 256), spec,
-                                             0.8, 0.5, 48, seed=2)
+        records, baseline, _ = hs.run_ladder("manova_ensemble", (64, 256), 0.8, 0.5, 48,
+                                             seed=2, functional=spec)
         assert records[0].mean > records[1].mean
+        assert baseline is records  # an ensemble family is its own baseline
+
+    def test_ladder_baseline_runs_at_frame_dims(self):
+        # DSS(863) realizes (863, 431, 345); resolve_dims("manova", ...) rounds
+        # m = 431.5 to 432, which is where a standalone ensemble batch runs
+        records, baseline, _ = hs.run_ladder("dss", (863,), 0.8, 0.5, 2, seed=0)
+        assert hs.resolve_dims("manova", 863, 0.8, 0.5) == (863, 432, 346)
+        assert [(r.frame_family, r.n, r.m, r.k) for r in baseline] == [
+            ("manova_ensemble", 863, 431, 345)]
+        assert (records[0].n, records[0].m, records[0].k) == (863, 431, 345)
+        _, baseline, _ = hs.run_ladder("real_paley", (14,), 0.8, 0.5, 2, seed=0)
+        assert [(r.frame_family, r.n, r.m, r.k) for r in baseline] == [
+            ("manova_ensemble_real", 14, 7, 6)]
 
     def test_sparse_frame_control_does_not_converge(self):
         # m columns of the identity repeated: a fraction of every subset

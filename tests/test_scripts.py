@@ -12,7 +12,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ARGS = {
     "accuracy_table.py": ["--sizes", "103", "--betas", "0.8", "--trials", "3"],
     "frame_gallery.py": [],
-    "ks_ladder.py": ["--sizes", "19,31,43", "--trials", "4"],
     "rd_curves.py": ["--db", "0:10:5"],  # 0 dB is the unit-SDR edge of rate_sc
 }
 

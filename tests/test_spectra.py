@@ -178,3 +178,31 @@ def test_etf_subset_pins_first_two_moments_ensemble_does_not():
     traces = [sp.sample_manova_ensemble(n, m, k, "complex", rng).eigenvalues.sum()
               for _ in range(20)]
     assert np.std(traces) > 1e-3
+
+
+class TestRunTrials:
+    def test_trial_t_draws_from_its_own_stream(self):
+        # the seeding contract: trial t is a function of (seed, *path, t + 1)
+        # alone, whatever ran before it
+        F = fr.construct_dss(11)
+        got = sp.run_trials(F, 3, lambda s: s.eigenvalues, seed=4, path=(2,), k=5)
+        for t, ev in enumerate(got):
+            sel = sp.select(11, "uniform_k", derive_rng(4, 2, t + 1), k=5)
+            assert np.array_equal(ev, sp.subset_gram_spectrum(F, sel).eigenvalues)
+        ens = sp.run_trials((11, 5, "real"), 2, lambda s: s.eigenvalues, seed=4, k=3)
+        for t, ev in enumerate(ens):
+            want = sp.sample_manova_ensemble(11, 5, 3, "real", derive_rng(4, t + 1))
+            assert np.array_equal(ev, want.eigenvalues)
+
+    def test_empty_bernoulli_draw_has_empty_spectrum(self):
+        F = fr.construct_dss(7)
+        (spec,) = sp.run_trials(F, 1, lambda s: s, seed=0, p=0.0)
+        assert (spec.k, len(spec.eigenvalues)) == (0, 0)
+
+    def test_selection_arguments(self):
+        F = fr.construct_dss(7)
+        for kw in ({}, {"k": 2, "p": 0.5}):
+            with pytest.raises(ValueError):
+                sp.run_trials(F, 1, len, seed=0, **kw)
+        with pytest.raises(ValueError):
+            sp.run_trials((7, 3, "real"), 1, len, seed=0, p=0.5)
