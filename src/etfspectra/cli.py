@@ -140,8 +140,7 @@ def _cmd_coding_curve(args):
         y = 10.0 ** (ydb / 10.0)
         if args.direction == "sc":
             if args.optimize_beta:
-                beta, rate = coding.optimize_beta("source", args.p, y, args.model,
-                                                  scan=args.scan_beta)
+                beta, rate = coding.optimize_beta("source", args.p, y, args.model)
             else:
                 beta = args.beta
                 rate = coding.rate_sc(beta, args.p, y, args.model)
@@ -150,8 +149,7 @@ def _cmd_coding_curve(args):
                          repr(coding.rdf(args.p, y) + coding.si_benchmark(args.p))))
         else:
             if args.optimize_beta:
-                beta, cap = coding.optimize_beta("channel", args.p, y, args.model,
-                                                 scan=args.scan_beta)
+                beta, cap = coding.optimize_beta("channel", args.p, y, args.model)
             else:
                 beta = args.beta
                 cap = coding.capacity_cc(beta, args.p, y, args.model)
@@ -305,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo:hi:step in dB (or single value)")
     c.add_argument("--beta", type=float)
     c.add_argument("--optimize-beta", dest="optimize_beta", action="store_true")
-    c.add_argument("--scan-beta", dest="scan_beta", type=int, default=0,
-                   help="grid-scan fallback: number of beta grid points (0 = golden section)")
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_coding_curve)
 

@@ -22,18 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import FrameMatrix
+from .functionals import FunctionalSpec, evaluate
 from .manova import inverse_moment_amplification
 from .spectra import ZERO_CLAMP, run_trials, subset_gram_spectrum
 
 __all__ = [
-    "CodingScenario",
     "AmplificationModel",
     "amplification",
     "rdf",
     "shannon_capacity",
     "rate_sc",
-    "rate_sc_high_resolution",
-    "excess_rate_sc",
     "capacity_cc",
     "optimize_beta",
     "high_resolution_gaps",
@@ -41,29 +39,6 @@ __all__ = [
     "mlie",
     "MlieResult",
 ]
-
-
-@dataclass(frozen=True)
-class CodingScenario:
-    """Operating point: direction, survival probability p, redundancy beta,
-    and the linear SDR/SNR y."""
-
-    direction: str  # "source" | "channel"
-    p: float
-    beta: float
-    y: float
-
-    def __post_init__(self):
-        if self.direction not in ("source", "channel"):
-            raise ValueError(f"direction must be source|channel; got {self.direction!r}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0, 1); got {self.p}")
-        if self.direction == "source" and not self.p < self.beta < 1.0:
-            raise ValueError(f"source coding needs p < beta < 1; got beta={self.beta}")
-        if self.direction == "channel" and not self.beta > 1.0:
-            raise ValueError(f"channel coding needs beta > 1; got beta={self.beta}")
-        if self.y <= 0.0:
-            raise ValueError("y must be positive")
 
 
 @dataclass(frozen=True)
@@ -86,16 +61,12 @@ def _as_model(model) -> AmplificationModel:
     return model if isinstance(model, AmplificationModel) else AmplificationModel(str(model))
 
 
-def _ahmr(spec) -> float:
-    ev = spec.eigenvalues
-    if ev.min() < ZERO_CLAMP:
-        return math.inf
-    return float(np.mean(1.0 / ev) * np.mean(ev))
+_AC = FunctionalSpec("ac")
 
 
 def empirical_ahmr(F: FrameMatrix, k: int, trials: int, seed=None) -> float:
     """Monte Carlo arithmetic-to-harmonic means ratio of subset spectra."""
-    return float(np.mean(run_trials(F, trials, _ahmr, seed, k=k)))
+    return float(np.mean(run_trials(F, trials, lambda spec: evaluate(_AC, spec), seed, k=k)))
 
 
 def amplification(model, beta: float, p: float) -> float:
@@ -139,17 +110,6 @@ def rate_sc(beta: float, p: float, sdr: float, model) -> float:
     return (1.0 / beta) * 0.5 * p * math.log2(1.0 + effective)
 
 
-def rate_sc_high_resolution(beta: float, p: float, sdr: float, model) -> float:
-    """High-SDR form (1/beta) R(y * beta * Lambda)."""
-    lam = amplification(model, beta, p)
-    return (1.0 / beta) * rdf(p, sdr * beta * lam)
-
-
-def excess_rate_sc(beta: float, p: float, sdr: float, model) -> float:
-    """Excess over the rate-distortion function (nonnegative)."""
-    return rate_sc(beta, p, sdr, model) - rdf(p, sdr)
-
-
 def capacity_cc(beta: float, p: float, snr: float, model) -> float:
     """Achievable rate of analog channel coding, bits per channel use."""
     if not beta > 1.0:
@@ -181,28 +141,21 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-6):
     return x, f(x)
 
 
-def optimize_beta(direction: str, p: float, y: float, model,
-                  gamma_min: float = 1e-4, tol: float = 1e-6,
-                  scan: int = 0):
+def optimize_beta(direction: str, p: float, y: float, model):
     """Best redundancy: minimizes the source rate or maximizes the channel
-    capacity by golden section (the objective is smooth and empirically
-    unimodal; pass ``scan`` > 0 to brute-force that many grid points
-    instead).  Returns (beta_opt, optimum value)."""
+    capacity by golden section to width 1e-6 (the objective is smooth and
+    empirically unimodal).  The channel search spans beta up to
+    max(10, p / 1e-4), i.e. gamma down to 1e-4.  Returns (beta_opt,
+    optimum value)."""
     if direction == "source":
         lo, hi = p + 1e-4, 1.0 - 1e-4
         objective = lambda b: rate_sc(b, p, y, model)
     elif direction == "channel":
-        lo, hi = 1.0 + 1e-6, max(10.0, p / gamma_min)
+        lo, hi = 1.0 + 1e-6, max(10.0, p / 1e-4)
         objective = lambda b: -capacity_cc(b, p, y, model)
     else:
         raise ValueError(f"direction must be source|channel; got {direction!r}")
-    if scan > 0:
-        grid = np.linspace(lo, hi, scan)
-        vals = np.array([objective(b) for b in grid])
-        i = int(np.argmin(vals))
-        b, v = float(grid[i]), float(vals[i])
-    else:
-        b, v = _golden_min(objective, lo, hi, tol)
+    b, v = _golden_min(objective, lo, hi)
     return (b, -v) if direction == "channel" else (b, v)
 
 

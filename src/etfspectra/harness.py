@@ -310,16 +310,13 @@ def fit_baseline_loglog(records) -> tuple[float, float, float]:
     return b0, a0, a0 / b0
 
 
-def t_test_equal_slopes(fit_a: FitResult, fit_b: FitResult,
-                        n_a: int | None = None, n_b: int | None = None) -> float:
+def t_test_equal_slopes(fit_a: FitResult, fit_b: FitResult) -> float:
     """Two-sided p-value for equal decay exponents.
 
     t = (b_a - b_b)/sqrt(se_a^2 + se_b^2) against Student t with
-    n_a + n_b - 4 degrees of freedom.
+    n_a + n_b - 4 degrees of freedom, n the fits' points.
     """
-    n_a = fit_a.n_points if n_a is None else n_a
-    n_b = fit_b.n_points if n_b is None else n_b
-    dof = n_a + n_b - 4
+    dof = fit_a.n_points + fit_b.n_points - 4
     if dof <= 0:
         raise ValueError(f"nonpositive degrees of freedom: {dof}")
     denom = math.hypot(fit_a.stderr, fit_b.stderr)

@@ -1,5 +1,5 @@
 """The limiting spectral law MANOVA(beta, gamma), whose gamma = 0 case is
-Marchenko-Pastur(beta), and the eta-transform route to the inverse moment.
+Marchenko-Pastur(beta), its moments, and the inverse-moment amplification.
 
 The MANOVA law describes eigenvalues of the Gram matrix of a random size-k
 column subset of an m-by-n tight frame with beta = k/m and gamma = m/n.
@@ -38,10 +38,6 @@ __all__ = [
     "manova_moment_numeric",
     "manova_moment_closed",
     "inverse_moment_amplification",
-    "eta_tilde",
-    "eta_normalized",
-    "z_eta_limit",
-    "eta_transform_chain",
 ]
 
 
@@ -139,9 +135,9 @@ class ManovaDistribution:
     """MANOVA(beta, gamma) law: support edges, point masses and the
     edge-substituted continuous part.  gamma = 0 is Marchenko-Pastur(beta).
 
-    cdf() on arrays interpolates a fine trapezoid grid in the substituted
-    variable (error ~1e-9), built on the first call; integrate(), moment()
-    and cdf_quad() use adaptive quadrature.
+    cdf() interpolates a fine trapezoid grid in the substituted variable
+    (error ~1e-9), built on the first call; integrate() and moment() use
+    adaptive quadrature.
     """
 
     _GRID = 32769
@@ -202,19 +198,6 @@ class ManovaDistribution:
             out = out + np.where(x >= 1.0 / self.params.gamma, self._mass_top, 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def cdf_quad(self, x: float) -> float:
-        """Scalar CDF by adaptive quadrature (reference-quality)."""
-        x = float(x)
-        if x < self.edges.r_minus:
-            cont = 0.0
-        else:
-            hi = float(self._theta(min(x, self.edges.r_plus)))
-            cont, _ = integrate.quad(self._weight, 0.0, hi, epsabs=1e-12, limit=200)
-        out = cont + (self._mass0 if x >= 0.0 else 0.0)
-        if self._mass_top and x >= 1.0 / self.params.gamma:
-            out += self._mass_top
-        return out
-
     def total_mass(self) -> float:
         return self.moment(0)
 
@@ -262,43 +245,3 @@ def inverse_moment_amplification(beta: float, p: float) -> float:
     if beta < 1.0:
         return (1.0 - p) / (1.0 - beta)
     return (beta - p) / (beta - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# eta transform of the erased-DFT Gram limit
-#
-# s and t are the row/column erasure fractions; the unit-norm frame picture
-# has gamma = 1 - s and p = 1 - t.
-
-class EtaChain(NamedTuple):
-    eta_tilde: float
-    eta_normalized: float
-    z_eta_limit: float
-
-
-def eta_tilde(s: float, t: float, z: float) -> float:
-    """Eta transform of the erased Gram including its zero mass."""
-    disc = 1.0 + (2.0 * (s + t) - 4.0 * s * t) * z + (s - t) ** 2 * z ** 2
-    return (1.0 + (s + t) * z + math.sqrt(disc)) / (2.0 * (1.0 + z))
-
-
-def eta_normalized(s: float, t: float, z: float) -> float:
-    """Eta transform after stripping the zero mass (fraction max(s, t))."""
-    mx = max(s, t)
-    return (eta_tilde(s, t, z) - mx) / (1.0 - mx)
-
-
-def z_eta_limit(s: float, t: float) -> float:
-    """lim z->inf of z * eta_normalized = max(s, t)/|s - t|."""
-    if s == t:
-        raise ZeroDivisionError("limit diverges for s = t")
-    return max(s, t) / abs(s - t)
-
-
-def eta_transform_chain(s: float, t: float, z: float) -> EtaChain:
-    """The three stages of the inverse-moment derivation at one (s, t, z)."""
-    if not (0.0 <= s < 1.0 and 0.0 <= t < 1.0):
-        raise ValueError("s and t must lie in [0, 1)")
-    if z < 0.0:
-        raise ValueError("z must be nonnegative")
-    return EtaChain(eta_tilde(s, t, z), eta_normalized(s, t, z), z_eta_limit(s, t))

@@ -14,13 +14,14 @@ live here:
   erasure patterns (the independent oracle),
 * ``asymptotic_moment`` evaluates the n -> infinity polynomial for
   equiangular tight frames by contracting the d-cycle along non-crossing
-  partitions (exact rational arithmetic).  The census of contracted cycle
-  types is counted in closed form: the cycles left by a partition pi are
-  the blocks of size >= 2 of its Kreweras complement, and the non-crossing
-  partitions with b blocks of sizes lambda number
+  partitions (exact rational arithmetic).  The partitions are never
+  enumerated: ``partition_census`` counts the contracted cycle types in
+  closed form (the Kreweras census).  The cycles left by a partition pi
+  are the blocks of size >= 2 of its Kreweras complement, and the
+  non-crossing partitions with b blocks of sizes lambda number
   d! / ((d - b + 1)! prod_j m_j!), m_j the multiplicity of size j
-  (Kreweras 1972).  The cost is one term per integer partition of d (77
-  at d = 12) instead of one per non-crossing partition (208 012).
+  (Kreweras 1972), so the cost is one term per integer partition of d
+  (77 at d = 12).
 
 The erasure Welch bound ``ewb_bound`` is the proven lower bound on m_d for
 d = 2, 3, 4; tight frames meet it at d = 2, 3 and ETFs also at d = 4.
@@ -28,7 +29,6 @@ d = 2, 3, 4; tight frames meet it at d = 2, 3 and ETFs also at d = 4.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,20 +41,14 @@ from .spectra import run_trials
 
 __all__ = [
     "MomentPolynomial",
-    "NonCrossingPartition",
     "empirical_moment",
     "exact_expected_moment",
     "all_subsets_expected_moment",
     "ewb_bound",
     "manova_moment_formula",
     "ewb_delta",
-    "enumerate_noncrossing_partitions",
-    "is_noncrossing",
-    "contract_cycle",
     "partition_census",
     "asymptotic_moment",
-    "narayana",
-    "catalan",
     "crossing_term",
     "crossing_decay_probe",
     "MAX_TUPLE_ENUMERATION",
@@ -122,9 +116,6 @@ class MomentPolynomial:
                     out[(k, j)] = c
         return out
 
-    def block(self, k: int) -> tuple:
-        return self.blocks[k]
-
     def evaluate(self, p: float, x: float) -> float:
         acc = 0.0
         for k in range(len(self.blocks) - 1, -1, -1):
@@ -165,115 +156,7 @@ class MomentPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# non-crossing partitions of {1..d}
-
-@dataclass(frozen=True)
-class NonCrossingPartition:
-    """Canonical form: blocks sorted internally and by least element."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        canon = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", canon)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def elements(self) -> tuple:
-        return tuple(sorted(itertools.chain.from_iterable(self.blocks)))
-
-
-def is_noncrossing(blocks) -> bool:
-    """No a < b < c < d with {a, c} and {b, d} split across two blocks."""
-    blocks = [tuple(sorted(b)) for b in blocks]
-    for b1, b2 in itertools.combinations(blocks, 2):
-        for a, c in itertools.combinations(b1, 2):
-            for b, e in itertools.combinations(b2, 2):
-                if a < b < c < e or b < a < e < c:
-                    return False
-    return True
-
-
-def _nc_partitions(seq: tuple):
-    """All non-crossing partitions of the ordered tuple ``seq``.
-
-    The block containing seq[0] is chosen first; remaining elements split
-    into the gaps between its members, and each gap is partitioned
-    recursively.  Every non-crossing partition arises exactly once.
-    """
-    if not seq:
-        yield ()
-        return
-    first, rest = seq[0], seq[1:]
-    L = len(rest)
-    for mask in range(1 << L):
-        block = [first]
-        gaps = []
-        cur = []
-        for i in range(L):
-            if (mask >> i) & 1:
-                block.append(rest[i])
-                gaps.append(tuple(cur))
-                cur = []
-            else:
-                cur.append(rest[i])
-        gaps.append(tuple(cur))
-        gap_parts = [list(_nc_partitions(g)) for g in gaps if g]
-        for combo in itertools.product(*gap_parts):
-            yield (tuple(block),) + tuple(itertools.chain.from_iterable(combo))
-
-
-def enumerate_noncrossing_partitions(d: int) -> list:
-    """All non-crossing partitions of {1..d}; Catalan(d) of them."""
-    d = int(d)
-    if not 1 <= d <= MAX_PARTITION_D:
-        raise ValueError(f"d must be in 1..{MAX_PARTITION_D}; got {d}")
-    return [NonCrossingPartition(p) for p in _nc_partitions(tuple(range(1, d + 1)))]
-
-
-def contract_cycle(partition, d: int | None = None) -> tuple:
-    """Cycle lengths obtained by contracting the d-cycle along a
-    non-crossing partition of {1..d}.
-
-    Merged neighbors produce self-loops with unit correlation, which are
-    dropped; what remains is a cactus whose edges split uniquely into
-    edge-disjoint cycles (doubled edges count as 2-cycles).  Returns the
-    sorted tuple of cycle lengths.
-    """
-    blocks = partition.blocks if isinstance(partition, NonCrossingPartition) else \
-        tuple(tuple(sorted(b)) for b in partition)
-    elements = sorted(itertools.chain.from_iterable(blocks))
-    if d is None:
-        d = len(elements)
-    if elements != list(range(1, d + 1)):
-        raise ValueError("partition must cover {1..d} exactly")
-    if not is_noncrossing(blocks):
-        raise ValueError("crossing partition: cycle decomposition is not defined")
-    label = {}
-    for bi, b in enumerate(blocks):
-        for e in b:
-            label[e] = bi
-    walk = [label[i] for i in range(1, d + 1)]
-    # closed walk around the quotient; non-crossing => each cycle closes
-    # before its enclosing one resumes, so a stack recovers the lengths
-    stack = [walk[0]]
-    cycles = []
-    for t in range(1, d + 1):
-        b = walk[t % d]
-        if b == stack[-1]:
-            continue  # self-loop
-        if b in stack:
-            j = len(stack) - 1 - stack[::-1].index(b)
-            cycles.append(len(stack) - j)
-            del stack[j + 1:]
-        else:
-            stack.append(b)
-    if len(stack) != 1:
-        raise ValueError("contraction did not close; partition is not non-crossing")
-    return tuple(sorted(cycles))
-
+# the census of contracted cycle types
 
 def _integer_partitions(d: int, largest: int):
     """Integer partitions of d into parts <= largest, as non-increasing tuples."""
@@ -311,16 +194,6 @@ def partition_census(d: int) -> dict:
         cycles = tuple(sorted(j for j in lam if j >= 2))
         census.setdefault(d + 1 - b, {})[cycles] = count
     return census
-
-
-def narayana(d: int, k: int) -> int:
-    if not 1 <= k <= d:
-        return 0
-    return math.comb(d, k) * math.comb(d, k - 1) // d
-
-
-def catalan(d: int) -> int:
-    return math.comb(2 * d, d) // (d + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +322,13 @@ class SubsetMomentPolynomial:
         return acc
 
 
-def exact_expected_moment(F: FrameMatrix, d: int, chunk: int = 1 << 20) -> SubsetMomentPolynomial:
-    """Exact a_{d,k}(F) by enumerating all n^d correlation cycles.
+def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
+    """Exact a_{d,k}(F) by enumerating all n^d correlation cycles, in
+    chunks of 2^20 tuples.
 
     Guarded to n^d <= 10^8; intended for d <= 4 at small n.
     """
+    chunk = 1 << 20
     d = int(d)
     n = F.n
     if d < 1 or d > 4:

@@ -1,6 +1,6 @@
-"""Subset spectra: sampling column subsets, Gram eigenvalues, empirical
-CDFs, KS distances, draws from the MANOVA(n, m, k) matrix ensemble, and the
-Monte Carlo trial engine that every estimator in the package runs on.
+"""Subset spectra: sampling column subsets, Gram eigenvalues, KS distances,
+draws from the MANOVA(n, m, k) matrix ensemble, and the Monte Carlo trial
+engine that every estimator in the package runs on.
 
 The Gram of a selected m-by-k subframe is formed on the smaller side
 (k-by-k when k <= m, else m-by-m); the two sides share their nonzero
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -25,8 +25,6 @@ __all__ = [
     "SubsetSpectrum",
     "select",
     "subset_gram_spectrum",
-    "StepCDF",
-    "empirical_cdf",
     "ks_distance",
     "sample_manova_ensemble",
     "run_trials",
@@ -45,7 +43,6 @@ class SubsetSelection:
     n: int
     mode: str  # "uniform_k" | "bernoulli"
     param: float
-    seed: int | None = None
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -73,14 +70,12 @@ def select(n: int, mode: str, seed=None, k: int | None = None,
         if k is None or not 0 <= k <= n:
             raise ValueError(f"uniform_k needs 0 <= k <= n; got k={k}")
         idx = np.sort(rng.permutation(n)[:k])
-        return SubsetSelection(idx, n, mode, float(k),
-                               seed if isinstance(seed, int) else None)
+        return SubsetSelection(idx, n, mode, float(k))
     if mode == "bernoulli":
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError(f"bernoulli needs 0 <= p <= 1; got p={p}")
         idx = np.nonzero(rng.random(n) < p)[0]
-        return SubsetSelection(idx, n, mode, float(p),
-                               seed if isinstance(seed, int) else None)
+        return SubsetSelection(idx, n, mode, float(p))
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
@@ -130,30 +125,6 @@ def subset_gram_spectrum(F: FrameMatrix, sel: SubsetSelection | np.ndarray) -> S
     ev = np.linalg.eigvalsh(G)
     ev, n_clamped = _clamp(ev)
     return SubsetSpectrum(ev, F.n, m, k, clamped=n_clamped)
-
-
-@dataclass(frozen=True)
-class StepCDF:
-    """Right-continuous empirical CDF of a finite sample."""
-
-    points: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        pts = np.sort(np.asarray(self.points, dtype=float))
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.searchsorted(self.points, x, side="right") / len(self.points)
-        return float(out) if out.ndim == 0 else out
-
-
-def empirical_cdf(spec: SubsetSpectrum | np.ndarray) -> StepCDF:
-    vals = spec.eigenvalues if isinstance(spec, SubsetSpectrum) else np.asarray(spec)
-    if len(vals) == 0:
-        raise ValueError("empty spectrum")
-    return StepCDF(vals)
 
 
 def ks_distance(spec, reference_cdf, jump_points=()) -> float:

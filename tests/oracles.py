@@ -1,0 +1,130 @@
+"""Reference computations the tests compare the package against; none is
+reached from the package.  Each is a slower or more literal route to a
+quantity the package computes another way: the cycle contraction behind
+``moments.partition_census``, the eta-transform derivation of
+``manova.inverse_moment_amplification``, the MANOVA CDF by quadrature, and
+an empirical CDF for ``spectra.ks_distance``.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from scipy import integrate
+
+
+# ---------------------------------------------------------------------------
+# non-crossing partitions of {1..d}
+
+def is_noncrossing(blocks) -> bool:
+    """No a < b < c < d with {a, c} and {b, d} split across two blocks."""
+    blocks = [tuple(sorted(b)) for b in blocks]
+    for b1, b2 in itertools.combinations(blocks, 2):
+        for a, c in itertools.combinations(b1, 2):
+            for b, e in itertools.combinations(b2, 2):
+                if a < b < c < e or b < a < e < c:
+                    return False
+    return True
+
+
+def contract_cycle(blocks, d: int | None = None) -> tuple:
+    """Cycle lengths obtained by contracting the d-cycle along a
+    non-crossing partition of {1..d}, given as a list of blocks.
+
+    Merged neighbors produce self-loops with unit correlation, which are
+    dropped; what remains is a cactus whose edges split uniquely into
+    edge-disjoint cycles (doubled edges count as 2-cycles).  Returns the
+    sorted tuple of cycle lengths.
+    """
+    blocks = [tuple(sorted(b)) for b in blocks]
+    elements = sorted(itertools.chain.from_iterable(blocks))
+    if d is None:
+        d = len(elements)
+    if elements != list(range(1, d + 1)):
+        raise ValueError("partition must cover {1..d} exactly")
+    if not is_noncrossing(blocks):
+        raise ValueError("crossing partition: cycle decomposition is not defined")
+    label = {e: bi for bi, b in enumerate(blocks) for e in b}
+    walk = [label[i] for i in range(1, d + 1)]
+    # closed walk around the quotient; non-crossing => each cycle closes
+    # before its enclosing one resumes, so a stack recovers the lengths
+    stack = [walk[0]]
+    cycles = []
+    for t in range(1, d + 1):
+        b = walk[t % d]
+        if b == stack[-1]:
+            continue  # self-loop
+        if b in stack:
+            j = len(stack) - 1 - stack[::-1].index(b)
+            cycles.append(len(stack) - j)
+            del stack[j + 1:]
+        else:
+            stack.append(b)
+    if len(stack) != 1:
+        raise ValueError("contraction did not close; partition is not non-crossing")
+    return tuple(sorted(cycles))
+
+
+def narayana(d: int, k: int) -> int:
+    if not 1 <= k <= d:
+        return 0
+    return math.comb(d, k) * math.comb(d, k - 1) // d
+
+
+def catalan(d: int) -> int:
+    return math.comb(2 * d, d) // (d + 1)
+
+
+# ---------------------------------------------------------------------------
+# eta transform of the erased-DFT Gram limit
+#
+# s and t are the row/column erasure fractions; the unit-norm frame picture
+# has gamma = 1 - s and p = 1 - t.
+
+def eta_tilde(s: float, t: float, z: float) -> float:
+    """Eta transform of the erased Gram including its zero mass."""
+    disc = 1.0 + (2.0 * (s + t) - 4.0 * s * t) * z + (s - t) ** 2 * z ** 2
+    return (1.0 + (s + t) * z + math.sqrt(disc)) / (2.0 * (1.0 + z))
+
+
+def eta_normalized(s: float, t: float, z: float) -> float:
+    """Eta transform after stripping the zero mass (fraction max(s, t))."""
+    mx = max(s, t)
+    return (eta_tilde(s, t, z) - mx) / (1.0 - mx)
+
+
+def z_eta_limit(s: float, t: float) -> float:
+    """lim z->inf of z * eta_normalized = max(s, t)/|s - t|."""
+    if s == t:
+        raise ZeroDivisionError("limit diverges for s = t")
+    return max(s, t) / abs(s - t)
+
+
+# ---------------------------------------------------------------------------
+# CDFs
+
+def cdf_quad(dist, x: float) -> float:
+    """Scalar CDF of a ManovaDistribution by adaptive quadrature."""
+    x = float(x)
+    if x < dist.edges.r_minus:
+        cont = 0.0
+    else:
+        hi = float(dist._theta(min(x, dist.edges.r_plus)))
+        cont, _ = integrate.quad(dist._weight, 0.0, hi, epsabs=1e-12, limit=200)
+    out = cont + (dist._mass0 if x >= 0.0 else 0.0)
+    if dist._mass_top and x >= 1.0 / dist.params.gamma:
+        out += dist._mass_top
+    return out
+
+
+def empirical_cdf(sample):
+    """Right-continuous empirical CDF of a spectrum or an array of values."""
+    points = np.sort(np.asarray(getattr(sample, "eigenvalues", sample), dtype=float))
+    if len(points) == 0:
+        raise ValueError("empty spectrum")
+
+    def cdf(x):
+        out = np.searchsorted(points, np.asarray(x, dtype=float), side="right") / len(points)
+        return float(out) if out.ndim == 0 else out
+
+    return cdf

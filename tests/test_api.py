@@ -1,0 +1,57 @@
+"""Every etfspectra attribute that ``perfbench`` names must exist, so that
+removing one fails in the fast suite rather than in a benchmark run."""
+
+import ast
+import importlib
+import pathlib
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _resolves(dotted):
+    """Whether 'etfspectra.<module>.<attr>...' names an existing object."""
+    package, module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"{package}.{module}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_span_layers_resolve():
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    tables = {t.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) for t in node.targets
+              if isinstance(t, ast.Name) and t.id in ("FUNCTIONS", "METHODS")}
+    refs = [f"{module}.{attr}" for _, module, attr in tables["FUNCTIONS"]]
+    refs += [f"etfspectra.manova.{cls}.{method}" for _, cls, method in tables["METHODS"]]
+    assert len(refs) > 10
+    assert not [ref for ref in refs if not _resolves(ref)]
+
+
+def _dotted(node, modules):
+    """'etfspectra.<module>.<attr>...' for an attribute chain on a module
+    imported from etfspectra, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.insert(0, node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in modules:
+        return ".".join(["etfspectra", modules[node.id]] + parts)
+    return None
+
+
+def test_child_references_resolve():
+    # <module>.<attr> chains on the names that `from etfspectra import ...`
+    # binds in the same function
+    refs = set()
+    for fn in ast.walk(ast.parse((PERFBENCH / "child.py").read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            modules = {a.asname or a.name: a.name for node in ast.walk(fn)
+                       if isinstance(node, ast.ImportFrom) and node.module == "etfspectra"
+                       for a in node.names}
+            refs.update(filter(None, (_dotted(node, modules) for node in ast.walk(fn)
+                                      if isinstance(node, ast.Attribute))))
+    assert {"etfspectra.harness.run_ks_batch", "etfspectra.coding.empirical_ahmr"} <= refs
+    assert not [ref for ref in sorted(refs) if not _resolves(ref)]

@@ -56,7 +56,8 @@ class TestRates:
         F = fr.construct_lowpass_dft(16, 16)
         model = cg.AmplificationModel("empirical", frame=F, trials=5, seed=0)
         p, beta, y = 0.5, 12 / 16, 1e4
-        delta = cg.rate_sc_high_resolution(beta, p, y, model) - cg.rdf(p, y)
+        lam = cg.amplification(model, beta, p)
+        delta = (1 / beta) * cg.rdf(p, y * beta * lam) - cg.rdf(p, y)
         expect = 0.5 * p * ((1 / beta - 1) * math.log2(y) + (1 / beta) * math.log2(beta))
         assert delta == pytest.approx(expect, abs=1e-9)
 
@@ -76,8 +77,8 @@ class TestRates:
     def test_excess_rate_nonnegative(self, beta, log10y):
         p = 0.5
         y = 10.0 ** log10y
-        assert cg.excess_rate_sc(beta, p, y, "manova") >= -1e-12
-        assert cg.excess_rate_sc(beta, p, y, "mp") >= -1e-12
+        assert cg.rate_sc(beta, p, y, "manova") - cg.rdf(p, y) >= -1e-12
+        assert cg.rate_sc(beta, p, y, "mp") - cg.rdf(p, y) >= -1e-12
 
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
@@ -260,17 +261,6 @@ class TestDivergenceProbe:
     def test_rectangular_control_is_finite(self):
         val = rectangular_inverse_trace(120, 0.8, trials=30, seed=2)
         assert val == pytest.approx(0.8 / 0.2, rel=0.1)
-
-
-def test_scenario_validation():
-    cg.CodingScenario("source", 0.5, 0.8, 100.0)
-    cg.CodingScenario("channel", 0.5, 2.0, 100.0)
-    with pytest.raises(ValueError):
-        cg.CodingScenario("source", 0.5, 1.2, 100.0)
-    with pytest.raises(ValueError):
-        cg.CodingScenario("channel", 0.5, 0.8, 100.0)
-    with pytest.raises(ValueError):
-        cg.CodingScenario("source", 0.5, 0.4, 100.0)  # beta below p
 
 
 def t_sf_oracle(t, dof):

@@ -9,6 +9,7 @@ from scipy import integrate
 from etfspectra import manova as mv
 from etfspectra import spectra as sp
 from etfspectra.rng import derive_rng
+from oracles import cdf_quad, eta_normalized, eta_tilde, z_eta_limit
 
 GRID = [(b, g) for b in (0.3, 0.6, 0.8, 0.9) for g in (0.25, 0.5)]
 
@@ -96,7 +97,7 @@ class TestCdf:
     def test_grid_cdf_matches_quad(self):
         dist = mv.ManovaDistribution(mv.ManovaParams(0.8, 0.5))
         for x in np.linspace(dist.edges.r_minus, dist.edges.r_plus, 9):
-            assert dist.cdf(x) == pytest.approx(dist.cdf_quad(x), abs=1e-9)
+            assert dist.cdf(x) == pytest.approx(cdf_quad(dist, x), abs=1e-9)
 
     def test_median_of_large_ensemble_sample(self):
         # MC oracle: pooled ensemble eigenvalues straddle the CDF = 1/2 point
@@ -186,24 +187,24 @@ class TestAmplification:
 
 class TestEtaChain:
     def test_eta_at_zero_is_one(self):
-        assert mv.eta_tilde(0.5, 0.6, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert mv.eta_normalized(0.5, 0.6, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert eta_tilde(0.5, 0.6, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert eta_normalized(0.5, 0.6, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_eta_tilde_limit_is_erased_fraction(self):
-        assert mv.eta_tilde(0.5, 0.6, 1e9) == pytest.approx(0.6, abs=1e-6)
+        assert eta_tilde(0.5, 0.6, 1e9) == pytest.approx(0.6, abs=1e-6)
 
     def test_z_eta_limit_plugin(self):
-        assert mv.z_eta_limit(0.5, 0.6) == pytest.approx(6.0)
+        assert z_eta_limit(0.5, 0.6) == pytest.approx(6.0)
 
     def test_z_eta_limit_matches_finite_z(self):
         s, t = 0.5, 0.75
         z = 1e10
-        assert z * mv.eta_normalized(s, t, z) == pytest.approx(
-            mv.z_eta_limit(s, t), rel=1e-4)
+        assert z * eta_normalized(s, t, z) == pytest.approx(
+            z_eta_limit(s, t), rel=1e-4)
 
     def test_equal_fractions_diverge(self):
         with pytest.raises(ZeroDivisionError):
-            mv.eta_transform_chain(0.5, 0.5, 1.0)
+            z_eta_limit(0.5, 0.5)
 
     def test_chain_consistency_with_amplification(self):
         # s = 1 - gamma, t = 1 - p: gamma * limit is the mean inverse
@@ -211,7 +212,7 @@ class TestEtaChain:
         # source-side amplification
         beta, gamma = 0.8, 0.5
         p = beta * gamma
-        lam = gamma * mv.z_eta_limit(1 - gamma, 1 - p)
+        lam = gamma * z_eta_limit(1 - gamma, 1 - p)
         assert lam == pytest.approx(mv.inverse_moment_amplification(beta, p), abs=1e-12)
 
 

