@@ -28,18 +28,8 @@ import sys
 import numpy as np
 
 from . import coding, frames, frameio, harness, manova, moments
-from .functionals import FunctionalSpec, evaluate
+from .functionals import KINDS, FunctionalSpec, evaluate
 from .spectra import run_trials
-
-
-def _write_csv(path, columns, rows, header=None):
-    lines = []
-    if header:
-        lines.append("# " + header)
-    lines.append(",".join(columns))
-    lines += [",".join(str(c) for c in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +53,8 @@ def _cmd_spectra_sample(args):
     spectra = run_trials(F, args.trials, lambda spec: spec.eigenvalues, args.seed, k=args.k)
     rows = [(trial, i, repr(float(v)))
             for trial, ev in enumerate(spectra) for i, v in enumerate(ev)]
-    _write_csv(args.out, ("trial", "index", "eigenvalue"), rows,
-               header=f"spectra sample k={args.k} trials={args.trials} seed={args.seed}")
+    harness.write_csv(args.out, f"spectra sample k={args.k} trials={args.trials} seed={args.seed}",
+                      [("trial", "index", "eigenvalue"), *rows])
     print(f"wrote {len(rows)} eigenvalues -> {args.out}")
 
 
@@ -76,8 +66,8 @@ def _cmd_manova_density(args):
     xs = np.linspace(max(lo - pad, 0.0), hi + pad, args.grid)
     rows = [(repr(float(x)), repr(float(dist.pdf(x))), repr(float(dist.cdf(x))))
             for x in xs]
-    _write_csv(args.out, ("x", "pdf", "cdf"), rows,
-               header=f"manova density beta={args.beta} gamma={args.gamma}")
+    harness.write_csv(args.out, f"manova density beta={args.beta} gamma={args.gamma}",
+                      [("x", "pdf", "cdf"), *rows])
     sidecar = args.out + ".atoms.json"
     with open(sidecar, "w") as fh:
         json.dump({"atoms": [{"location": a.location, "mass": a.mass}
@@ -93,8 +83,8 @@ def _cmd_functional_eval(args):
     vals = run_trials(F, args.trials, lambda spectrum: evaluate(spec, spectrum),
                       args.seed, k=args.k)
     rows = [(trial, repr(float(val))) for trial, val in enumerate(vals)]
-    _write_csv(args.out, ("trial", "value"), rows,
-               header=f"functional {args.kind} k={args.k} trials={args.trials} seed={args.seed}")
+    harness.write_csv(args.out, f"functional {args.kind} k={args.k} trials={args.trials} "
+                      f"seed={args.seed}", [("trial", "value"), *rows])
     print(f"wrote {args.trials} evaluations -> {args.out}")
 
 
@@ -133,8 +123,6 @@ def _parse_range(spec: str):
 
 
 def _cmd_coding_curve(args):
-    if args.direction not in ("sc", "cc"):
-        raise SystemExit("--direction must be sc or cc")
     rows = []
     for ydb in _parse_range(args.sdr_db):
         y = 10.0 ** (ydb / 10.0)
@@ -156,8 +144,9 @@ def _cmd_coding_curve(args):
             rows.append((repr(float(ydb)), repr(float(beta)), repr(float(cap)),
                          repr(coding.shannon_capacity(args.p, y)),
                          repr(coding.si_benchmark(args.p))))
-    _write_csv(args.out, ("y_db", "beta_opt", "rate", "benchmark_rdf", "benchmark_si"),
-               rows, header=f"coding curve direction={args.direction} p={args.p} model={args.model}")
+    harness.write_csv(args.out, f"coding curve direction={args.direction} p={args.p} "
+                      f"model={args.model}",
+                      [("y_db", "beta_opt", "rate", "benchmark_rdf", "benchmark_si"), *rows])
     print(f"wrote {len(rows)} points -> {args.out}")
 
 
@@ -208,8 +197,11 @@ def _cmd_harness(args):
     _require_rungs(args.cmd, len(set(sizes)), need)
     functional = None if test1 else FunctionalSpec(args.functional, delta=args.delta,
                                                    alpha=args.alpha)
-    records, baseline, skipped = harness.run_ladder(args.family, sizes, args.beta, args.gamma,
-                                                    args.trials, args.seed, functional)
+    try:
+        records, baseline, skipped = harness.run_ladder(args.family, sizes, args.beta, args.gamma,
+                                                        args.trials, args.seed, functional)
+    except frames.FrameParameterError as exc:  # an unknown family, before any rung
+        raise SystemExit(f"harness {args.cmd}: {exc}") from None
     for size, why in skipped:
         print(f"skipped n={size}: {why}", file=sys.stderr)
     harness.export(records, "csv", args.out, config=_config_dict(args, sizes))
@@ -240,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("frames").add_subparsers(dest="cmd", required=True)
     c = g.add_parser("construct", help="build a frame and write the container file")
     c.add_argument("--family", required=True,
-                   choices=frames.DETERMINISTIC_FAMILIES + frames.RANDOM_FAMILIES)
+                   choices=tuple(frames.FAMILIES))
     c.add_argument("--n", type=int)
     c.add_argument("--m", type=int)
     c.add_argument("--q", type=int, help="Paley prime parameter")
@@ -268,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("functional").add_subparsers(dest="cmd", required=True)
     c = g.add_parser("eval", help="evaluate a spectral functional over subsets")
-    c.add_argument("--kind", required=True, choices=("rip", "strip", "ac", "shannon", "max", "min", "cond"))
+    c.add_argument("--kind", required=True, choices=KINDS)
     c.add_argument("--frame", required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--trials", type=int, default=100)
@@ -319,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--config", help="flat key=value config file; flags win")
         c.add_argument("--out", required=True)
         if name == "test2":
-            c.add_argument("--functional", default="shannon",
-                           choices=("rip", "strip", "ac", "shannon", "max", "min", "cond"))
+            c.add_argument("--functional", default="shannon", choices=KINDS)
             c.add_argument("--alpha", type=float, default=1.0)
             c.add_argument("--delta", type=float)
         c.set_defaults(fn=_cmd_harness)

@@ -6,6 +6,9 @@ low-pass and random-spectrum DFT, real/complex Paley, conference-matrix
 Grassmannian, Alltop chirps, spikes+sines, spikes+Hadamard.  Random
 families: Gaussian i.i.d., Haar, random Fourier/cosine.
 
+``FAMILIES`` alone maps a family name to its constructor and to its ladder
+rule, which says what a ladder size means for that family (``ladder_dims``).
+
 A frame is *tight* when ``F F' = (n/m) I`` and *equiangular* when every
 off-diagonal Gram magnitude equals the Welch value
 ``sqrt((n-m)/((n-1)m))``.
@@ -13,8 +16,10 @@ off-diagonal Gram magnitude equals the Welch value
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +28,9 @@ from .rng import derive_rng
 __all__ = [
     "FrameMatrix",
     "FrameParameterError",
+    "FAMILIES",
     "construct",
+    "ladder_dims",
     "construct_dss",
     "construct_lowpass_dft",
     "construct_random_spectrum_dft",
@@ -42,25 +49,12 @@ __all__ = [
     "welch_value",
     "is_prime",
     "RANDOM_FAMILIES",
-    "DETERMINISTIC_FAMILIES",
 ]
 
 
 class FrameParameterError(ValueError):
     """Raised when a construction is asked for parameters it does not support."""
 
-
-DETERMINISTIC_FAMILIES = (
-    "dss",
-    "lowpass_dft",
-    "random_spectrum_dft",
-    "real_paley",
-    "complex_paley",
-    "grassmannian",
-    "alltop",
-    "spikes_sines",
-    "spikes_hadamard",
-)
 
 RANDOM_FAMILIES = (
     "gaussian_iid",
@@ -102,9 +96,6 @@ class FrameMatrix:
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.entries)
-
-    def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.entries, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +255,7 @@ def construct_grassmannian(n: int) -> FrameMatrix:
     return FrameMatrix(entries, "grassmannian", params={"q": q})
 
 
-def construct_alltop(n: int, L: int) -> FrameMatrix:
+def construct_alltop(n: int, L: int = 2) -> FrameMatrix:
     """Cubic-phase chirp frame: n*L unit vectors in C^n, gamma = 1/L.
 
     Columns are indexed by (shift, modulation); vectors within one shift
@@ -369,26 +360,69 @@ def construct_random(family: str, n: int, m: int, seed: int,
                        params={"n": n, "m": m, "normalize_columns": bool(normalize_columns)})
 
 
-_DISPATCH = {
-    "dss": lambda n=None, **kw: construct_dss(n),
-    "lowpass_dft": lambda n=None, m=None, **kw: construct_lowpass_dft(n, m),
-    "random_spectrum_dft": lambda n=None, m=None, seed=None, **kw: construct_random_spectrum_dft(n, m, seed),
-    "real_paley": lambda q=None, **kw: construct_real_paley(q),
-    "complex_paley": lambda q=None, **kw: construct_complex_paley(q),
-    "grassmannian": lambda n=None, **kw: construct_grassmannian(n),
-    "alltop": lambda n=None, L=2, **kw: construct_alltop(n, L),
-    "spikes_sines": lambda m=None, **kw: construct_spikes_sines(m),
-    "spikes_hadamard": lambda m=None, **kw: construct_spikes_hadamard(m),
+# ---------------------------------------------------------------------------
+# the family table: constructor and ladder rule per family name
+
+def _free_rung(size, gamma):
+    m = int(round(gamma * size))
+    return size, m, {"n": size, "m": m}
+
+
+def _alltop_rung(size, gamma):
+    """size is the prime dimension m; L = max(2, round(1/gamma)) chirp classes."""
+    L = max(2, int(round(1.0 / gamma)))
+    return size * L, size, {"n": size, "L": L}
+
+
+def _two_basis_rung(family):
+    def rung(size, gamma):
+        if size % 2:
+            raise FrameParameterError(f"{family} needs an even frame size; got {size}")
+        return size, size // 2, {"m": size // 2}
+    return rung
+
+
+# family -> (constructor, ladder rule); a rule maps (ladder size, gamma target)
+# to the frame's (n, m) and the constructor's arguments.  Fixed-aspect families
+# ignore gamma; their size is n, except alltop's, which is m.
+FAMILIES = {
+    "dss": (construct_dss, lambda s, g: (s, (s - 1) // 2, {"n": s})),
+    "lowpass_dft": (construct_lowpass_dft, _free_rung),
+    "random_spectrum_dft": (construct_random_spectrum_dft, _free_rung),
+    "real_paley": (construct_real_paley, lambda s, g: (s, s // 2, {"q": s - 1})),
+    "complex_paley": (construct_complex_paley, lambda s, g: (s, (s + 1) // 2, {"q": s})),
+    "grassmannian": (construct_grassmannian, lambda s, g: (s, s // 2, {"n": s})),
+    "alltop": (construct_alltop, _alltop_rung),
+    "spikes_sines": (construct_spikes_sines, _two_basis_rung("spikes_sines")),
+    "spikes_hadamard": (construct_spikes_hadamard, _two_basis_rung("spikes_hadamard")),
+    **{family: (partial(construct_random, family), _free_rung) for family in RANDOM_FAMILIES},
 }
 
 
+def _entry(family: str):
+    if family not in FAMILIES:
+        raise FrameParameterError(f"unknown frame family {family!r}")
+    return FAMILIES[family]
+
+
+def ladder_dims(family: str, size: int, gamma: float) -> tuple[int, int, dict]:
+    """(n, m, constructor arguments) of the family at a ladder size.
+
+    ``construct(family, **args)`` builds that m-by-n frame; a size the family
+    cannot realize raises FrameParameterError here or in the constructor.
+    """
+    return _entry(family)[1](size, gamma)
+
+
 def construct(family: str, **params) -> FrameMatrix:
-    """Build any family by name; random families need n, m, seed."""
-    if family in _DISPATCH:
-        return _DISPATCH[family](**params)
-    if family in RANDOM_FAMILIES:
-        return construct_random(family, **params)
-    raise FrameParameterError(f"unknown frame family {family!r}")
+    """Build any family by name.
+
+    Parameters the family's constructor does not take are ignored; random
+    families need n, m, seed.
+    """
+    build = _entry(family)[0]
+    takes = inspect.signature(build).parameters
+    return build(**{key: val for key, val in params.items() if key in takes})
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Batch experiments: KS-distance ladders, functional convergence, power-law
-fits, and slope comparison tests.
+fits, slope comparison tests, and CSV export.
 
-A batch builds one frame per ladder size, draws T uniform k-subsets of it
-(or T draws of the MANOVA matrix ensemble), and measures either the KS
-distance of each subset spectrum to the limiting MANOVA CDF or the squared
-deviation of a spectral functional from its limiting value.  A ladder adds
-the ensemble baseline at each rung's own (n, m, k) and field.  Realized
-integer ratios beta_n = k/m and gamma_n = m/n parameterize the reference
-law, not the targets.
+A batch builds one frame per ladder size through ``frames.FAMILIES``, whose
+rule says what a size means for the family, draws T uniform k-subsets of it
+(or T draws of the MANOVA matrix ensemble), and measures the KS distance of
+each subset spectrum to the limiting MANOVA CDF or the squared deviation of
+a spectral functional from its limiting value.  A ladder adds the ensemble
+baseline at each rung's own (n, m, k) and field.  Realized integer ratios
+beta_n = k/m and gamma_n = m/n parameterize the reference law, not the targets.
 
 Trials run on the engine of ``spectra.run_trials``: trial t at size index i
 draws from (seed, i, t + 1), so results do not depend on the thread count.
@@ -34,14 +34,13 @@ __all__ = [
     "ExperimentRecord",
     "FitResult",
     "resolve_dims",
-    "build_frame",
     "run_ks_batch",
     "run_ladder",
     "fit_power_law",
     "fit_baseline_loglog",
     "t_test_equal_slopes",
     "export",
-    "read_json_records",
+    "write_csv",
     "parse_config",
     "worker_count",
     "DESK_SIZES",
@@ -97,75 +96,39 @@ class ExperimentRecord:
 def resolve_dims(family: str, size: int, beta: float, gamma: float) -> tuple[int, int, int]:
     """(n, m, k) realized by the family at a ladder size.
 
-    Families with a fixed natural aspect use it regardless of the gamma
-    target; free families round m = gamma * size.  k = round(beta * m).
+    Frame families follow their ladder rule in ``frames.FAMILIES``; the
+    ensemble names and "manova" take the free aspect n = size,
+    m = round(gamma * size).  k = round(beta * m).
     """
-    if family == "dss":
-        n, m = size, (size - 1) // 2
-    elif family == "real_paley":
-        n, m = size, size // 2  # size = q + 1
-    elif family == "complex_paley":
-        n, m = size, (size + 1) // 2
-    elif family == "grassmannian":
-        n, m = size, size // 2
-    elif family in ("spikes_sines", "spikes_hadamard"):
-        if size % 2:
-            raise fr.FrameParameterError(f"{family} needs an even frame size; got {size}")
-        n, m = size, size // 2
-    elif family == "alltop":
-        L = max(2, int(round(1.0 / gamma)))
-        n, m = size * L, size  # size is the prime dimension
-    else:
+    if family in ENSEMBLE_FAMILIES + ("manova",):
         n, m = size, int(round(gamma * size))
+    else:
+        n, m, _ = fr.ladder_dims(family, size, gamma)
     k = int(round(beta * m))
     if not 1 <= k <= n:
         raise fr.FrameParameterError(f"no valid k for {family} at size {size}")
     return n, m, k
 
 
-def build_frame(family: str, size: int, beta: float, gamma: float, seed=None):
-    """Construct the ladder frame; returns (frame, (n, m, k))."""
-    n, m, k = resolve_dims(family, size, beta, gamma)
-    if family == "dss":
-        F = fr.construct_dss(size)
-    elif family == "real_paley":
-        F = fr.construct_real_paley(size - 1)
-    elif family == "complex_paley":
-        F = fr.construct_complex_paley(size)
-    elif family == "grassmannian":
-        F = fr.construct_grassmannian(size)
-    elif family == "alltop":
-        F = fr.construct_alltop(size, max(2, int(round(1.0 / gamma))))
-    elif family == "spikes_sines":
-        F = fr.construct_spikes_sines(size // 2)
-    elif family == "spikes_hadamard":
-        F = fr.construct_spikes_hadamard(size // 2)
-    elif family == "lowpass_dft":
-        F = fr.construct_lowpass_dft(n, m)
-    elif family == "random_spectrum_dft":
-        F = fr.construct_random_spectrum_dft(n, m, seed)
-    elif family in fr.RANDOM_FAMILIES:
-        F = fr.construct_random(family, n, m, seed)
-    else:
-        raise fr.FrameParameterError(f"unknown family {family!r}")
-    return F, (F.n, F.m, k)
-
-
 def _batch(family, sizes, beta, gamma, trials, seed, statistic, name, baseline=False):
     """One record per ladder size the family realizes (undefined sizes skip)
     and, with ``baseline``, one MANOVA-ensemble record at each such rung's
-    (n, m, k) and field, drawn from the same per-trial streams."""
+    (n, m, k) and field, drawn from the same per-trial streams.  A family
+    that is neither a frame family nor an ensemble raises before any rung."""
+    if family not in ENSEMBLE_FAMILIES and family not in fr.FAMILIES:
+        raise fr.FrameParameterError(f"unknown frame family {family!r}")
     records, base, skipped = [], [], []
     for i, size in enumerate(sizes):
         t0 = time.perf_counter()
         try:
+            n, m, k = resolve_dims(family, size, beta, gamma)
             if family in ENSEMBLE_FAMILIES:
-                n, m, k = resolve_dims("manova", size, beta, gamma)
                 field_tag = "complex" if family == "manova_ensemble" else "real"
                 source = (n, m, field_tag)
             else:
-                source, (n, m, k) = build_frame(family, size, beta, gamma,
-                                                seed=derive_rng(seed, i, 0).integers(2 ** 63))
+                # through fr.construct, which a tracer can rebind; table entries it cannot
+                source = fr.construct(family, seed=derive_rng(seed, i, 0).integers(2 ** 63),
+                                      **fr.ladder_dims(family, size, gamma)[2])
                 field_tag = "complex" if source.is_complex else "real"
         except fr.FrameParameterError as exc:
             skipped.append((size, str(exc)))
@@ -198,8 +161,7 @@ def run_ks_batch(family: str, sizes, beta: float, gamma: float, trials: int,
 
     Returns (records, skipped) where ``skipped`` lists (size, reason) for
     sizes the family cannot realize.  ``family`` may be any frame family or
-    manova_ensemble / manova_ensemble_real, drawn at
-    resolve_dims("manova", ...).
+    manova_ensemble / manova_ensemble_real, drawn at resolve_dims.
     """
     if trials < 2:
         raise ValueError("variance statistics need trials >= 2")
@@ -346,48 +308,24 @@ def _record_row(r: ExperimentRecord) -> list:
             repr(r.mean_square)]
 
 
+def write_csv(path: str, header: str, rows) -> None:
+    """A "# header" line, then one comma-joined line per row; the first row
+    names the columns."""
+    lines = ["# " + header] + [",".join(str(c) for c in row) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def export(records, fmt: str, path: str, config=None) -> None:
-    """Write records as csv (aggregate table) or json (with trial values).
+    """Write records as a csv aggregate table; ``fmt`` must be "csv".
 
     Output bytes are a pure function of records and config: wall times are
     not serialized.
     """
+    if fmt != "csv":
+        raise ValueError(f"format must be csv; got {fmt!r}")
     header = f"etfspectra-export v{EXPORT_VERSION} config_sha256={_config_hash(config or {})}"
-    if fmt == "csv":
-        lines = ["# " + header, ",".join(_CSV_COLUMNS)]
-        lines += [",".join(str(c) for c in _record_row(r)) for r in records]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return
-    if fmt == "json":
-        doc = {
-            "format": "etfspectra-export",
-            "version": EXPORT_VERSION,
-            "config_sha256": _config_hash(config or {}),
-            "records": [{
-                "frame_family": r.frame_family, "n": r.n, "m": r.m, "k": r.k,
-                "beta": r.beta, "gamma": r.gamma, "trials": r.trials,
-                "statistic": r.statistic, "seed": r.seed,
-                "values": list(r.values),
-            } for r in records],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-        return
-    raise ValueError(f"format must be csv|json; got {fmt!r}")
-
-
-def read_json_records(path: str):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "etfspectra-export" or doc.get("version") != EXPORT_VERSION:
-        raise ValueError(f"not an etfspectra-export v{EXPORT_VERSION} file: {path}")
-    return [ExperimentRecord(
-        frame_family=d["frame_family"], n=d["n"], m=d["m"], k=d["k"],
-        beta=d["beta"], gamma=d["gamma"], trials=d["trials"],
-        statistic=d["statistic"], seed=d["seed"], values=tuple(d["values"]),
-    ) for d in doc["records"]]
+    write_csv(path, header, [_CSV_COLUMNS, *map(_record_row, records)])
 
 
 def parse_config(text: str) -> dict:

@@ -84,10 +84,6 @@ class ManovaParams:
         return self.beta * self.gamma
 
     @classmethod
-    def from_gamma_p(cls, gamma: float, p: float, field: str = "complex") -> "ManovaParams":
-        return cls(beta=p / gamma, gamma=gamma, field=field)
-
-    @classmethod
     def from_counts(cls, n: int, m: int, k: int, field: str = "complex") -> "ManovaParams":
         return cls(beta=k / m, gamma=m / n, field=field)
 

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import FrameMatrix, gram
+from .frames import FrameMatrix, construct, gram, ladder_dims
 from .spectra import run_trials
 
 __all__ = [
@@ -391,19 +391,12 @@ def crossing_term(F: FrameMatrix) -> float:
 def crossing_decay_probe(family: str, sizes, **params) -> list:
     """Crossing contribution across a size ladder; for an ETF it equals
     x^2/(n-1) exactly, so the rows exhibit the 1/n decay dropped by the
-    asymptotic moment engine."""
-    from .frames import construct
-
+    asymptotic moment engine.  A size means what it means on a harness
+    ladder (``frames.ladder_dims``, gamma = 1/2); ``params`` go to the
+    constructor, such as a random family's seed."""
     rows = []
     for size in sizes:
-        if family in ("lowpass_dft", "random_spectrum_dft"):
-            F = construct(family, n=size, m=size // 2, **params)
-        elif family in ("real_paley", "complex_paley"):
-            F = construct(family, q=size, **params)
-        elif family in ("spikes_sines", "spikes_hadamard"):
-            F = construct(family, m=size, **params)
-        else:
-            F = construct(family, n=size, **params)
+        F = construct(family, **ladder_dims(family, size, 0.5)[2], **params)
         x = F.n / F.m - 1.0
         value = crossing_term(F)
         rows.append({

@@ -132,6 +132,23 @@ def test_harness_short_ladder_rejected_before_running(tmp_path, cmd, sizes, need
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via_config", (False, True))
+def test_harness_unknown_family_exits_before_running(tmp_path, capsys, via_config):
+    out = tmp_path / "test1.csv"
+    argv = ["harness", "test1", "--trials", "4", "--sizes", "103,211,431", "--out", str(out)]
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = dsss\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--family", "dsss"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value.code) == "harness test1: unknown frame family 'dsss'"
+    assert capsys.readouterr().err == ""  # no per-size skip lines
+    assert not out.exists()
+
+
 def test_harness_skipped_sizes_keep_export_then_exit(tmp_path, capsys):
     out = tmp_path / "test1.csv"
     with pytest.raises(SystemExit) as exc:

@@ -72,7 +72,7 @@ class TestRandomSpectrum:
     def test_tight_and_unit_norm(self):
         F = fr.construct_random_spectrum_dft(101, 50, seed=1)
         assert fr.is_tight(F, 1e-9)
-        assert np.abs(F.column_norms() - 1.0).max() < 1e-12
+        assert np.abs(np.linalg.norm(F.entries, axis=0) - 1.0).max() < 1e-12
 
 
 class TestPaleyAndGrassmannian:
@@ -121,7 +121,7 @@ class TestAlltop:
 
     def test_unit_norm_columns(self):
         F = fr.construct_alltop(11, 4)
-        assert np.abs(F.column_norms() - 1.0).max() < 1e-12
+        assert np.abs(np.linalg.norm(F.entries, axis=0) - 1.0).max() < 1e-12
 
     def test_invalid_parameters(self):
         with pytest.raises(fr.FrameParameterError):
@@ -159,13 +159,13 @@ class TestRandomFamilies:
         # law of large numbers: norms sit within 1 +- 0.1 for m >= 400
         # (checked in quantile form; the extreme of n columns can exceed it)
         F = fr.construct_random("gaussian_iid", 800, 400, seed=3)
-        dev = np.abs(F.column_norms() - 1.0)
+        dev = np.abs(np.linalg.norm(F.entries, axis=0) - 1.0)
         assert np.quantile(dev, 0.99) < 0.1
         assert dev.mean() < 0.05
 
     def test_gaussian_normalize_flag(self):
         F = fr.construct_random("gaussian_iid", 50, 20, seed=3, normalize_columns=True)
-        assert np.abs(F.column_norms() - 1.0).max() < 1e-12
+        assert np.abs(np.linalg.norm(F.entries, axis=0) - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("family", fr.RANDOM_FAMILIES)
     def test_same_seed_identical(self, family):
@@ -244,7 +244,7 @@ def test_welch_inequality_holds(family, params):
 @pytest.mark.parametrize("family,params", TIGHT_CASES)
 def test_deterministic_columns_unit_norm(family, params):
     F = fr.construct(family, **params)
-    assert np.abs(F.column_norms() - 1.0).max() < 1e-12
+    assert np.abs(np.linalg.norm(F.entries, axis=0) - 1.0).max() < 1e-12
 
 
 def test_construct_dispatch_deterministic():

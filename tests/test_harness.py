@@ -1,5 +1,5 @@
-import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,21 +217,13 @@ class TestExport:
         assert lines[1].split(",")[:4] == ["frame_family", "n", "m", "k"]
         assert len(lines) == 4
 
-    def test_json_round_trip(self, tmp_path):
-        recs = self._records()
-        path = tmp_path / "out.json"
-        hs.export(recs, "json", path, config={"seed": 0})
-        back = hs.read_json_records(path)
-        assert len(back) == len(recs)
-        for a, b in zip(recs, back):
-            assert a.values == b.values
-            assert (a.n, a.m, a.k, a.statistic) == (b.n, b.m, b.k, b.statistic)
-
     def test_config_hash_embedded(self, tmp_path):
-        path = tmp_path / "out.json"
-        hs.export(self._records(), "json", path, config={"seed": 0})
-        doc = json.loads(path.read_text())
-        assert len(doc["config_sha256"]) == 16
+        recs, path = self._records(), tmp_path / "out.csv"
+        hs.export(recs, "csv", path, config={"seed": 0})
+        header = path.read_text().splitlines()[0]
+        assert re.fullmatch(r"# etfspectra-export v1 config_sha256=[0-9a-f]{16}", header)
+        with pytest.raises(ValueError):
+            hs.export(recs, "json", path, config={"seed": 0})
 
 
 class TestConfig:
@@ -262,3 +254,32 @@ def test_resolve_dims_fixed_aspect_families():
     assert hs.resolve_dims("real_paley", 14, 0.8, 0.5) == (14, 7, 6)
     assert hs.resolve_dims("alltop", 11, 0.8, 0.25) == (44, 11, 9)
     assert hs.resolve_dims("manova_ensemble", 100, 0.8, 0.25) == (100, 25, 20)
+    with pytest.raises(fr.FrameParameterError, match="unknown frame family 'dsss'"):
+        hs.resolve_dims("dsss", 103, 0.8, 0.5)
+
+
+# two ladder sizes each family realizes; a family added to frames.FAMILIES
+# without an entry here fails the test below
+LADDER_SIZES = {
+    "dss": (7, 103), "lowpass_dft": (9, 16), "random_spectrum_dft": (9, 16),
+    "real_paley": (14, 30), "complex_paley": (7, 11), "grassmannian": (8, 12),
+    "alltop": (5, 7), "spikes_sines": (8, 10), "spikes_hadamard": (8, 16),
+    "gaussian_iid": (9, 16), "haar_real": (9, 16), "haar_complex": (9, 16),
+    "random_fourier": (9, 16), "random_cosine": (9, 16),
+}
+
+
+@pytest.mark.parametrize("size_index", (0, 1))
+@pytest.mark.parametrize("family", fr.FAMILIES)
+def test_ladder_dims_match_frames(family, size_index):
+    size = LADDER_SIZES[family][size_index]
+    for gamma in (0.5, 0.25):
+        n, m, _ = hs.resolve_dims(family, size, 0.8, gamma)
+        F = fr.construct(family, seed=1, **fr.ladder_dims(family, size, gamma)[2])
+        assert (F.n, F.m) == (n, m)
+
+
+@pytest.mark.parametrize("run", (hs.run_ks_batch, hs.run_ladder))
+def test_unknown_family_raises_before_any_rung(run):
+    with pytest.raises(fr.FrameParameterError, match="unknown frame family 'dsss'"):
+        run("dsss", (103, 211, 431), 0.8, 0.5, 4, seed=0)

@@ -144,7 +144,7 @@ class TestMoments:
         assert mv.manova_moment_numeric(1, params) == pytest.approx(params.p, abs=1e-8)
 
     def test_second_moment_value(self):
-        params = mv.ManovaParams.from_gamma_p(0.5, 0.4)
+        params = mv.ManovaParams(beta=0.4 / 0.5, gamma=0.5)
         assert mv.manova_moment_numeric(2, params) == pytest.approx(0.56, abs=1e-8)
 
     @pytest.mark.parametrize("beta,gamma", GRID)
