@@ -6,6 +6,7 @@ of the subset statistic around it."""
 import argparse
 import math
 
+import etfspectra  # noqa: F401  (first: it sets the BLAS thread count before numpy loads)
 import numpy as np
 
 from etfspectra import frames as fr

@@ -5,6 +5,7 @@ Welch floor."""
 
 import math
 
+import etfspectra  # noqa: F401  (first: it sets the BLAS thread count before numpy loads)
 import numpy as np
 
 from etfspectra import frames as fr

@@ -5,6 +5,7 @@ side-information benchmark."""
 
 import argparse
 
+import etfspectra  # noqa: F401  (first: it sets the BLAS thread count before numpy loads)
 import numpy as np
 
 from etfspectra import coding as cg

@@ -40,7 +40,10 @@ def _cmd_frames_construct(args):
         val = getattr(args, key)
         if val is not None:
             params["L" if key == "chirps" else key] = val
-    F = frames.construct(args.family, **params)
+    try:
+        F = frames.construct(args.family, **params)
+    except frames.FrameParameterError as exc:
+        raise SystemExit(f"frames construct: {exc}") from None
     frameio.save_frame(F, args.out)
     tight = frames.is_tight(F)
     equi = frames.is_equiangular(F)

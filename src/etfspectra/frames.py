@@ -418,10 +418,13 @@ def construct(family: str, **params) -> FrameMatrix:
     """Build any family by name.
 
     Parameters the family's constructor does not take are ignored; random
-    families need n, m, seed.
+    families need n, m, seed. A missing parameter raises FrameParameterError.
     """
     build = _entry(family)[0]
     takes = inspect.signature(build).parameters
+    missing = [key for key, p in takes.items() if p.default is p.empty and key not in params]
+    if missing:
+        raise FrameParameterError(f"{family} needs {', '.join(missing)}")
     return build(**{key: val for key, val in params.items() if key in takes})
 
 

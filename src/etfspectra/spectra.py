@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas
 
 from .frames import FrameMatrix
 from .rng import derive_rng
@@ -111,17 +112,19 @@ def _clamp(ev: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def subset_gram_spectrum(F: FrameMatrix, sel: SubsetSelection | np.ndarray) -> SubsetSpectrum:
-    """Eigenvalues of the Gram of the selected columns, ascending."""
+    """Eigenvalues of the Gram of the selected columns, ascending.
+
+    The Gram is one rank-k update (``herk`` for complex frames, ``syrk`` for
+    real ones) that fills only the lower triangle, which is all
+    ``eigvalsh`` reads.
+    """
     idx = sel.indices if isinstance(sel, SubsetSelection) else np.asarray(sel, dtype=np.int64)
     if len(idx) == 0:
         raise ValueError("empty subset")
-    A = F.entries[:, idx]
+    A = np.asfortranarray(F.entries[:, idx])
     m, k = A.shape
-    if k <= m:
-        G = A.conj().T @ A
-    else:
-        G = A @ A.conj().T
-    G = 0.5 * (G + G.conj().T)
+    rank_k_update = blas.zherk if F.is_complex else blas.dsyrk
+    G = rank_k_update(1.0, A, trans=2 if k <= m else 0, lower=1)  # A'A or AA'
     ev = np.linalg.eigvalsh(G)
     ev, n_clamped = _clamp(ev)
     return SubsetSpectrum(ev, F.n, m, k, clamped=n_clamped)

@@ -172,3 +172,20 @@ def test_harness_short_ladder_exits_without_traceback(tmp_path):
     assert proc.returncode != 0
     assert proc.stderr.strip().splitlines() == [
         "harness test1: the ladder has 2 distinct sizes; the fit needs at least 3"]
+
+
+@pytest.mark.parametrize("params, reason", [
+    ((), "dss needs n"),
+    (("--n", "30"), "dss needs a prime n = 3 (mod 4), n >= 7; got 30"),
+])
+def test_frames_construct_bad_parameters_exit_without_traceback(tmp_path, params, reason):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "frame.json"
+    proc = subprocess.run([sys.executable, "-m", "etfspectra.cli", "frames", "construct",
+                           "--family", "dss", *params, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines() == [f"frames construct: {reason}"]
+    assert not out.exists()

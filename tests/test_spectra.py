@@ -66,6 +66,21 @@ class TestSubsetGramSpectrum:
         with pytest.raises(ValueError):
             sp.subset_gram_spectrum(F, np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("frame", ["dss103", "real_paley29"])
+    @pytest.mark.parametrize("side", ["k<m", "k=m", "k>m"])
+    def test_matches_symmetrized_gemm_gram(self, frame, side):
+        # oracle: eigvalsh of the full gemm Gram on the smaller side, symmetrized
+        F = fr.construct_dss(103) if frame == "dss103" else fr.construct_real_paley(29)
+        k = {"k<m": F.m // 2, "k=m": F.m, "k>m": F.m + 7}[side]
+        idx = sp.select(F.n, "uniform_k", seed=5, k=k).indices
+        A = F.entries[:, idx]
+        G = A.conj().T @ A if k <= F.m else A @ A.conj().T
+        want = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
+        want[want < sp.ZERO_CLAMP] = 0.0
+        spec = sp.subset_gram_spectrum(F, idx)
+        assert spec.eigenvalues.dtype == np.float64 and spec.r == min(k, F.m)
+        assert np.abs(spec.eigenvalues - want).max() < 1e-12
+
     def test_etf_pair_is_welch_offset(self):
         F = fr.construct_real_paley(13)
         w = math.sqrt(fr.welch_rms_bound(F.n, F.m))
