@@ -91,6 +91,18 @@ def _cmd_functional_eval(args):
     print(f"wrote {args.trials} evaluations -> {args.out}")
 
 
+def _moments_errors(cmd):
+    """Report an out-of-range order or an unreadable frame file as one
+    ``moments <cmd>: <reason>`` line on stderr, with exit status 1."""
+    def run(args):
+        try:
+            cmd(args)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"moments {args.cmd}: {exc}") from None
+    return run
+
+
+@_moments_errors
 def _cmd_moments_asymptotic(args):
     poly = moments.asymptotic_moment(args.d)
     if args.format == "latex":
@@ -100,6 +112,7 @@ def _cmd_moments_asymptotic(args):
                          sort_keys=True, indent=2))
 
 
+@_moments_errors
 def _cmd_moments_ewb(args):
     val = moments.ewb_bound(args.gamma, args.p, args.d, args.n)
     print(json.dumps({"gamma": args.gamma, "p": args.p, "d": args.d, "n": args.n,
@@ -109,6 +122,7 @@ def _cmd_moments_ewb(args):
                      sort_keys=True))
 
 
+@_moments_errors
 def _cmd_moments_exact(args):
     F = frameio.load_frame(args.frame)
     poly = moments.exact_expected_moment(F, args.d)
@@ -286,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_moments_ewb)
     c = g.add_parser("exact", help="exact expected moment of a stored frame")
     c.add_argument("--frame", required=True)
-    c.add_argument("--d", type=int, required=True)
+    c.add_argument("--d", type=int, required=True, help=f"order, 1..{moments.MAX_EXACT_D}")
     c.set_defaults(fn=_cmd_moments_exact)
 
     g = sub.add_parser("coding").add_subparsers(dest="cmd", required=True)

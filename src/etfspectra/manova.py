@@ -144,6 +144,8 @@ class ManovaDistribution:
         self.atoms = manova_atoms(params)
         self._mass0 = sum(a.mass for a in self.atoms if a.location == 0.0)
         self._mass_top = sum(a.mass for a in self.atoms if a.location > 0.0)
+        # at gamma = 1 or p = 1 the edges meet and the law is its atoms alone
+        self._continuous = self.edges.r_plus > self.edges.r_minus
         self._grid = None
 
     def _x_of(self, th):
@@ -163,9 +165,11 @@ class ManovaDistribution:
     def integrate(self, fn) -> float:
         """Integral of fn against the full law: quad over the continuous
         part plus fn at each point mass."""
-        val, _ = integrate.quad(lambda th: fn(self._x_of(th)) * self._weight(th),
-                                0.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-11,
-                                limit=200)
+        val = 0.0
+        if self._continuous:
+            val, _ = integrate.quad(lambda th: fn(self._x_of(th)) * self._weight(th),
+                                    0.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-11,
+                                    limit=200)
         return val + sum(a.mass * fn(a.location) for a in self.atoms)
 
     def pdf(self, x):
@@ -184,11 +188,13 @@ class ManovaDistribution:
         return self._grid
 
     def cdf(self, x):
-        th, cum = self._cumulative()
         x = np.asarray(x, dtype=float)
-        cont = np.interp(self._theta(x), th, cum)
-        cont = np.where(x < self.edges.r_minus, 0.0, cont)
-        cont = np.where(x >= self.edges.r_plus, cum[-1], cont)
+        cont = np.zeros_like(x)
+        if self._continuous:
+            th, cum = self._cumulative()
+            cont = np.interp(self._theta(x), th, cum)
+            cont = np.where(x < self.edges.r_minus, 0.0, cont)
+            cont = np.where(x >= self.edges.r_plus, cum[-1], cont)
         out = cont + np.where(x >= 0.0, self._mass0, 0.0)
         if self._mass_top:
             out = out + np.where(x >= 1.0 / self.params.gamma, self._mass_top, 0.0)

@@ -9,7 +9,11 @@ where a_{d,k}(F) collects correlation cycles c_{i1,i2} ... c_{id,i1} over
 index tuples with exactly k distinct values.  Three computations of m_d
 live here:
 
-* ``exact_expected_moment`` enumerates the index tuples (exact for small n),
+* ``exact_expected_moment`` (d = 1..8) weights the Gram contraction of each
+  class of set partitions of the cycle positions with a product of
+  Bernoulli cumulants: one einsum per dihedral class, 354 at d = 8, in place
+  of the n^d index tuples; ``MAX_EXACT_WORK`` caps its multiply-adds, which
+  allows n <= 286 at d = 8,
 * ``all_subsets_expected_moment`` averages subset Gram traces over all 2^n
   erasure patterns (the independent oracle),
 * ``asymptotic_moment`` evaluates the n -> infinity polynomial for
@@ -29,10 +33,12 @@ d = 2, 3, 4; tight frames meet it at d = 2, 3 and ETFs also at d = 4.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,12 +57,15 @@ __all__ = [
     "asymptotic_moment",
     "crossing_term",
     "crossing_decay_probe",
-    "MAX_TUPLE_ENUMERATION",
+    "MAX_EXACT_D",
+    "MAX_EXACT_WORK",
     "MAX_PARTITION_D",
     "MAX_ASYMPTOTIC_D",
 ]
 
-MAX_TUPLE_ENUMERATION = 10 ** 8
+MAX_EXACT_D = 8
+MAX_EXACT_WORK = 4 * 10 ** 10
+_SLICE_ELEMENTS = 1 << 20  # intermediates of exact_expected_moment stay within this
 MAX_PARTITION_D = 14
 MAX_ASYMPTOTIC_D = 12
 
@@ -322,39 +331,174 @@ class SubsetMomentPolynomial:
         return acc
 
 
-def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
-    """Exact a_{d,k}(F) by enumerating all n^d correlation cycles, in
-    chunks of 2^20 tuples.
+def _set_partitions(d: int) -> list:
+    """The Bell(d) set partitions of the cycle positions 0..d-1, each as the
+    block label of every position, labels in order of first appearance."""
+    labs = [(0,)]
+    for _ in range(d - 1):
+        labs = [lab + (v,) for lab in labs for v in range(max(lab) + 2)]
+    return labs
 
-    Guarded to n^d <= 10^8; intended for d <= 4 at small n.
+
+def _first_appearance(lab) -> tuple:
+    seen: dict = {}
+    return tuple(seen.setdefault(v, len(seen)) for v in lab)
+
+
+def _bernoulli_cumulant(j: int) -> tuple:
+    """p-coefficients of kappa_j(p) = sum_k S(j,k) (-1)^(k-1) (k-1)! p^k."""
+    def stirling2(k):
+        return sum((-1) ** i * math.comb(k, i) * (k - i) ** j
+                   for i in range(k + 1)) // math.factorial(k)
+    return (0,) + tuple((-1) ** (k - 1) * math.factorial(k - 1) * stirling2(k)
+                        for k in range(1, j + 1))
+
+
+def _elimination_path(terms: list) -> tuple:
+    """Pairwise einsum path summing a product of vertex vectors and edge
+    matrices over every index, by variable elimination: take the vertex with
+    the fewest neighbours ('a' last, so that slicing 'a' bounds every
+    intermediate) and contract its operands pairwise, the pair with the
+    fewest indices first (with 'a' among equals), until the vertex is
+    summed out.  Returns the path, the number of distinct
+    indices of each step (it costs about n to that power) and the largest
+    intermediate's rank."""
+    live, path, steps, rank = list(terms), [], [], 0
+    left = sorted(set("".join(terms)), reverse=True)
+    while left:
+        v = min(left[:-1] or left,
+                key=lambda v: len(set("".join(t for t in live if v in t))))
+        left.remove(v)
+        while True:
+            pos = [i for i, t in enumerate(live) if v in t]
+            if not pos:
+                break
+            pick = min(itertools.combinations(pos, 2), default=tuple(pos),
+                       key=lambda ij: (len(set(live[ij[0]] + live[ij[1]])),
+                                       "a" not in live[ij[0]] + live[ij[1]]))
+            touched = set("".join(live[i] for i in pick))
+            for i in sorted(pick, reverse=True):
+                del live[i]
+            live.append("".join(sorted(touched & set("".join(live)))))
+            path.append(pick)
+            steps.append(len(touched))
+            rank = max(rank, len(live[-1]))
+    return ["einsum_path", *path], tuple(steps), rank
+
+
+class _CycleClass(NamedTuple):
+    """One dihedral class of set partitions of the d cycle positions."""
+
+    size: int        # partitions in the class
+    subs: str        # einsum subscripts: a vertex vector or an edge matrix each
+    keys: tuple      # operand keys: (l,) is diag(G)^l, (f, r) is G^f conj(G)^r
+    sliced: tuple    # whether each operand's first index is 'a'
+    path: list       # einsum path (False for a single operand)
+    steps: tuple     # number of indices each path step touches
+    rank: int        # largest intermediate's number of indices
+
+
+@lru_cache(maxsize=None)
+def _moment_plan(d: int) -> tuple:
+    """Everything ``exact_expected_moment`` needs that depends on d alone:
+    the dihedral classes of set partitions tau of the d cycle positions,
+    and weights[k, c], class c's size times the p^k coefficient of its
+    cumulant product prod_{B in tau} kappa_|B|(p).
+
+    C_tau(G), the cycle c_{i1 i2} ... c_{id i1} summed over the index tuples
+    constant on each block, is a sum over the quotient graph of the cycle:
+    one index per block, one Gram factor per cycle step, the steps inside a
+    block folding into a diagonal power and parallel steps into one
+    Hadamard product.  A dihedral image of tau has the same block sizes and
+    the same or the conjugate C_tau, so each class counts its size times
+    the real part.
     """
-    chunk = 1 << 20
+    orbits: dict = {}
+    for lab in _set_partitions(d):
+        key = min(_first_appearance(lab[(s * t + r) % d] for t in range(d))
+                  for r in range(d) for s in (1, -1))
+        orbits[key] = orbits.get(key, 0) + 1
+    weights = np.zeros((d + 1, len(orbits)))
+    classes = []
+    for c, (lab, size) in enumerate(sorted(orbits.items())):
+        blocks = max(lab) + 1
+        poly = (1,)
+        for b in range(blocks):
+            poly = _poly_mul(poly, _bernoulli_cumulant(lab.count(b)))
+        weights[:, c] = [size * float(x) for x in poly]
+        loops, edges = [0] * blocks, {}
+        for t in range(d):
+            u, v = lab[t], lab[(t + 1) % d]
+            if u == v:
+                loops[u] += 1
+            else:
+                e = (min(u, v), max(u, v))
+                f, r = edges.get(e, (0, 0))
+                edges[e] = (f + 1, r) if u < v else (f, r + 1)
+        terms = ["abcdefgh"[u] for u in range(blocks) if loops[u]]
+        keys = [(loops[u],) for u in range(blocks) if loops[u]]
+        terms += ["abcdefgh"[u] + "abcdefgh"[v] for u, v in edges]
+        keys += list(edges.values())
+        path, steps, rank = _elimination_path(terms)
+        # one operand is summed by one plain einsum; a path would only add overhead
+        classes.append(_CycleClass(size, ",".join(terms) + "->", tuple(keys),
+                                   tuple(t[0] == "a" for t in terms),
+                                   path if len(terms) > 1 else False, steps, rank))
+    weights.flags.writeable = False
+    return weights, tuple(classes)
+
+
+def _exact_work(d: int, n: int) -> int:
+    """Multiply-adds of ``exact_expected_moment`` at order d on n vectors,
+    as its einsum steps count them (n to the number of indices a step
+    touches)."""
+    return sum(n ** e for cls in _moment_plan(d)[1] for e in cls.steps)
+
+
+def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
+    """Exact a_{d,k}(F), d = 1..8, by cumulant-weighted partition contraction.
+
+    With Bernoulli(p) marks b_i, E[b_{i1} ... b_{id}] is the sum over the
+    set partitions tau of the d cycle positions on whose blocks the tuple is
+    constant of prod_{B in tau} kappa_|B|(p) (the moment-cumulant formula:
+    Leonov & Shiryaev 1959; Rota 1964), so n m_d(p) = sum_tau prod_B
+    kappa_|B|(p) C_tau(G).  A call forms one Gram, then runs one einsum per
+    dihedral class of tau (7 at d = 4, 37 at d = 6, 354 at d = 8) on the
+    path of ``_elimination_path``.  At d <= 7 every step costs at most n^3
+    with n^2 intermediates; the four d = 8 classes whose quotient is K4 with
+    two opposite edges doubled cost n^4 and are sliced along index 'a' to
+    intermediates of ``_SLICE_ELEMENTS``.  Guarded to
+    ``_exact_work(d, n) <= MAX_EXACT_WORK``: n <= 286 at d = 8 (7 to 8 s
+    for DSS(283) on one BLAS thread of a 2-CPU box), n <= 702 at d = 7.
+    """
     d = int(d)
     n = F.n
-    if d < 1 or d > 4:
-        raise ValueError("tuple enumeration supports d in 1..4")
-    if n ** d > MAX_TUPLE_ENUMERATION:
-        raise ValueError(f"n^d = {n ** d} exceeds the enumeration guard")
+    if not 1 <= d <= MAX_EXACT_D:
+        raise ValueError(f"d must be in 1..{MAX_EXACT_D}; got {d}")
+    if _exact_work(d, n) > MAX_EXACT_WORK:
+        raise ValueError(f"order {d} on n = {n} vectors needs {_exact_work(d, n):.2e} "
+                         f"multiply-adds, above the guard of {MAX_EXACT_WORK:.0e}")
+    weights, classes = _moment_plan(d)
     G = gram(F)
-    sums = np.zeros(d + 1, dtype=complex)
-    total = n ** d
-    shape = (n,) * d
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
-        idx = np.stack(np.unravel_index(flat, shape))  # (d, chunk)
-        vals = G[idx[d - 1], idx[0]].copy()
-        for t in range(d - 1):
-            vals *= G[idx[t], idx[t + 1]]
-        distinct = np.ones(len(flat), dtype=np.int64)
-        srt = np.sort(idx, axis=0)
-        for t in range(1, d):
-            distinct += srt[t] != srt[t - 1]
-        for k in range(1, d + 1):
-            sums[k] += vals[distinct == k].sum()
-    sums /= n
-    if np.abs(sums.imag).max() > 1e-8:
-        raise ArithmeticError("correlation cycle sums should be real")
-    return SubsetMomentPolynomial(d, tuple(sums.real))
+    operands = {(1,): np.diagonal(G), (1, 0): G, (0, 1): G.conj()}
+
+    def operand(key):
+        if key not in operands:
+            step = (1,) if len(key) == 1 else (1, 0) if key[0] else (0, 1)
+            operands[key] = operand(tuple(k - s for k, s in zip(key, step))) * operands[step]
+        return operands[key]
+
+    sums = np.zeros(len(classes))
+    for c, cls in enumerate(classes):
+        ops = [operand(key) for key in cls.keys]
+        chunk = max(1, _SLICE_ELEMENTS // n ** max(cls.rank - 1, 0))
+        sums[c] = sum(np.einsum(cls.subs, *(op[s:s + chunk] if cut else op
+                                            for op, cut in zip(ops, cls.sliced)),
+                                optimize=cls.path).real
+                      for s in range(0, n, chunk))
+    a = weights @ sums / n
+    a[0] = 0.0
+    return SubsetMomentPolynomial(d, tuple(a))
 
 
 def all_subsets_expected_moment(F: FrameMatrix, d: int, p: float) -> float:
@@ -391,19 +535,29 @@ def crossing_term(F: FrameMatrix) -> float:
 def crossing_decay_probe(family: str, sizes, **params) -> list:
     """Crossing contribution across a size ladder; for an ETF it equals
     x^2/(n-1) exactly, so the rows exhibit the 1/n decay dropped by the
-    asymptotic moment engine.  A size means what it means on a harness
-    ladder (``frames.ladder_dims``, gamma = 1/2); ``params`` go to the
-    constructor, such as a random family's seed."""
+    asymptotic moment engine.  Each row also holds, for every d = 4..8 that
+    ``exact_expected_moment`` takes at its n, n max_k |a_{d,k}(F) -
+    A_{d,k}(x)| with A_{d,k} the p^k coefficient of ``asymptotic_moment(d)``
+    at x = n/m - 1: it levels off for an ETF family and grows otherwise.  A
+    size means what it means on a harness ladder (``frames.ladder_dims``,
+    gamma = 1/2); ``params`` go to the constructor, such as a random
+    family's seed."""
     rows = []
     for size in sizes:
         F = construct(family, **ladder_dims(family, size, 0.5)[2], **params)
         x = F.n / F.m - 1.0
         value = crossing_term(F)
+        gaps = {}
+        for d in range(4, MAX_EXACT_D + 1):
+            if _exact_work(d, F.n) <= MAX_EXACT_WORK:
+                pairs = zip(exact_expected_moment(F, d).a, asymptotic_moment(d).blocks)
+                gaps[d] = F.n * float(max(abs(a - _poly_eval(blk, x)) for a, blk in pairs))
         rows.append({
             "n": F.n,
             "m": F.m,
             "value": value,
             "etf_value": x ** 2 / (F.n - 1),
             "n_times_value": F.n * value,
+            "n_times_gap": gaps,
         })
     return rows

@@ -1,7 +1,8 @@
 """Reference computations the tests compare the package against; none is
 reached from the package.  Each is a slower or more literal route to a
 quantity the package computes another way: the cycle contraction behind
-``moments.partition_census``, the eta-transform derivation of
+``moments.partition_census``, the index-tuple enumeration behind
+``moments.exact_expected_moment``, the eta-transform derivation of
 ``manova.inverse_moment_amplification``, the MANOVA CDF by quadrature, and
 an empirical CDF for ``spectra.ks_distance``.
 """
@@ -73,6 +74,44 @@ def narayana(d: int, k: int) -> int:
 
 def catalan(d: int) -> int:
     return math.comb(2 * d, d) // (d + 1)
+
+
+# ---------------------------------------------------------------------------
+# exact subset moments by index-tuple enumeration
+
+MAX_TUPLE_ENUMERATION = 10 ** 8
+
+
+def tuple_expected_moment(G, d: int) -> np.ndarray:
+    """a_{d,k} (k = 0..d) of the frame with Gram matrix G, by summing the
+    correlation cycle G[i1,i2] ... G[id,i1] of every one of the n^d index
+    tuples into the slot of its number k of distinct indices, in chunks of
+    2^20 tuples.  Guarded to d <= 4 and n^d <= 10^8."""
+    chunk = 1 << 20
+    n = G.shape[0]
+    if d < 1 or d > 4:
+        raise ValueError("tuple enumeration supports d in 1..4")
+    if n ** d > MAX_TUPLE_ENUMERATION:
+        raise ValueError(f"n^d = {n ** d} exceeds the enumeration guard")
+    sums = np.zeros(d + 1, dtype=complex)
+    total = n ** d
+    shape = (n,) * d
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total))
+        idx = np.stack(np.unravel_index(flat, shape))  # (d, chunk)
+        vals = G[idx[d - 1], idx[0]].copy()
+        for t in range(d - 1):
+            vals *= G[idx[t], idx[t + 1]]
+        distinct = np.ones(len(flat), dtype=np.int64)
+        srt = np.sort(idx, axis=0)
+        for t in range(1, d):
+            distinct += srt[t] != srt[t - 1]
+        for k in range(1, d + 1):
+            sums[k] += vals[distinct == k].sum()
+    sums /= n
+    if np.abs(sums.imag).max() > 1e-8:
+        raise ArithmeticError("correlation cycle sums should be real")
+    return sums.real
 
 
 # ---------------------------------------------------------------------------

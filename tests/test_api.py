@@ -59,7 +59,7 @@ def test_child_references_resolve():
 
 # public names no code outside tests uses yet, each with the reason it stays
 UNREFERENCED_OK = {
-    "etfspectra.moments.crossing_decay_probe": "the per-d, per-family probe of ROADMAP item 3",
+    "etfspectra.moments.crossing_decay_probe": "the per-d, per-family probe of ROADMAP item 5",
 }
 
 

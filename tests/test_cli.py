@@ -189,3 +189,25 @@ def test_frames_construct_bad_parameters_exit_without_traceback(tmp_path, params
     assert proc.returncode == 1
     assert proc.stderr.strip().splitlines() == [f"frames construct: {reason}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("exact", "--frame", "{frame}", "--d", "9"), "d must be in 1..8; got 9"),
+    (("exact", "--frame", "{missing}", "--d", "4"),
+     "[Errno 2] No such file or directory: '{missing}'"),
+    (("ewb", "--gamma", "0.5", "--p", "0.5", "--d", "5", "--n", "7"),
+     "the bound is proven for d in 2..4; got 5"),
+    (("asymptotic", "--d", "13"), "d must be in 1..12; got 13"),
+], ids=["exact-order", "exact-missing-frame", "ewb-order", "asymptotic-order"])
+def test_moments_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    frame, missing = tmp_path / "frame.json", tmp_path / "missing.json"
+    run("frames", "construct", "--family", "dss", "--n", "7", "--out", str(frame))
+    argv = [a.format(frame=frame, missing=missing) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "etfspectra.cli", "moments", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines() == [
+        f"moments {argv[0]}: {reason.format(missing=missing)}"]

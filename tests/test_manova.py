@@ -165,6 +165,29 @@ class TestMoments:
             mv.manova_moment_numeric(-1, mv.ManovaParams(1.5, 0.5))
 
 
+class TestEdgeCases:
+    """gamma = 1 and beta * gamma -> 1, where the continuous part empties;
+    any RuntimeWarning (a 0/0 in the weight) fails the test."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.0 - 1e-9])
+    def test_gamma_one_is_the_atom_at_one(self, beta):
+        law = mv.ManovaDistribution(mv.ManovaParams(beta, 1.0))
+        assert law.total_mass() == 1.0
+        assert law.moment(2) == 1.0
+        assert list(law.cdf([0.5, 1.0])) == [0.0, 1.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_p_to_one_from_below(self, gamma, eps):
+        params = mv.ManovaParams((1.0 - eps) / gamma, gamma)
+        law = mv.ManovaDistribution(params)
+        assert law.total_mass() == pytest.approx(1.0, abs=1e-8)
+        assert law.moment(2) == pytest.approx(
+            mv.manova_moment_closed(2, params) / params.p, abs=1e-8)
+
+
 class TestAmplification:
     def test_table_values(self):
         assert mv.inverse_moment_amplification(0.8, 0.4) == pytest.approx(3.0)

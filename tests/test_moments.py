@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from etfspectra import frames as fr
 from etfspectra import moments as mo
 from etfspectra.manova import ManovaParams, manova_moment_numeric
-from oracles import catalan, contract_cycle, is_noncrossing, narayana
+from oracles import (catalan, contract_cycle, is_noncrossing, narayana,
+                     tuple_expected_moment)
 
 
 def all_set_partitions(elements):
@@ -205,9 +206,15 @@ class TestExactExpectedMoment:
         assert poly.a[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_guard(self):
-        F = fr.construct_random("gaussian_iid", 200, 100, seed=0)
-        with pytest.raises(ValueError):
-            mo.exact_expected_moment(F, 4)
+        # orders 1..8, and at d = 8 the stated cap of n = 286 vectors
+        F = fr.construct_dss(7)
+        for d in (0, 9):
+            with pytest.raises(ValueError, match="d must be in 1..8"):
+                mo.exact_expected_moment(F, d)
+        assert mo._exact_work(8, 286) <= mo.MAX_EXACT_WORK < mo._exact_work(8, 287)
+        F = fr.construct_random("gaussian_iid", 287, 2, seed=0)
+        with pytest.raises(ValueError, match="above the guard"):
+            mo.exact_expected_moment(F, 8)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_all_subsets_oracle_agrees(self, d):
@@ -216,6 +223,53 @@ class TestExactExpectedMoment:
         for p in (0.2, 0.5, 0.9):
             assert poly.evaluate(p) == pytest.approx(
                 mo.all_subsets_expected_moment(F, d, p), abs=1e-9)
+
+    @pytest.mark.parametrize("F", [
+        fr.construct_dss(7), fr.construct_dss(31), fr.construct_real_paley(13),
+        fr.construct_lowpass_dft(8, 4),
+        fr.construct_random("gaussian_iid", 9, 4, seed=0, normalize_columns=True),
+    ], ids=["dss7", "dss31", "paley13", "lowpass8", "gaussian9"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_tuple_oracle(self, F, d):
+        got = np.array(mo.exact_expected_moment(F, d).a)
+        want = tuple_expected_moment(fr.gram(F), d)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("F", [
+        fr.construct_dss(7), fr.construct_dss(11), fr.construct_lowpass_dft(8, 4),
+        fr.construct_random("gaussian_iid", 9, 4, seed=0, normalize_columns=True),
+    ], ids=["dss7", "dss11", "lowpass8", "gaussian9"])
+    @pytest.mark.parametrize("d", [5, 6, 7, 8])
+    def test_high_orders_equal_all_subsets_oracle(self, F, d):
+        poly = mo.exact_expected_moment(F, d)
+        assert poly.a[0] == 0.0
+        for p in (0.2, 0.5, 0.9):
+            assert poly.evaluate(p) == pytest.approx(
+                mo.all_subsets_expected_moment(F, d, p), abs=1e-9)
+
+    def test_slicing_leaves_the_coefficients(self, monkeypatch):
+        # DSS(11) at d = 8 in slices of one index value for the K4 classes
+        F = fr.construct_dss(11)
+        whole = np.array(mo.exact_expected_moment(F, 8).a)
+        monkeypatch.setattr(mo, "_SLICE_ELEMENTS", 64)
+        sliced = np.array(mo.exact_expected_moment(F, 8).a)
+        # the sums run in another order; the coefficients reach a few hundred
+        assert np.max(np.abs(sliced - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_class_sizes_sum_to_bell(self, d):
+        classes = mo._moment_plan(d)[1]
+        assert sum(cls.size for cls in classes) == len(list(all_set_partitions(range(d))))
+        assert len(classes) == {4: 7, 6: 37, 8: 354}.get(d, len(classes))
+
+
+class TestTupleOracle:
+    def test_guard(self):
+        G = fr.gram(fr.construct_random("gaussian_iid", 200, 100, seed=0))
+        with pytest.raises(ValueError):
+            tuple_expected_moment(G, 4)
+        with pytest.raises(ValueError):
+            tuple_expected_moment(fr.gram(fr.construct_dss(7)), 5)
 
 
 class TestEwbBound:
@@ -292,10 +346,28 @@ class TestCrossingDecay:
         x = 31 / 15 - 1
         assert mo.crossing_term(F) == pytest.approx(x ** 2 / 30, abs=1e-12)
 
+    def test_dss_d4_gap_is_the_ewb_delta(self):
+        # a_{4,k} - A_{4,k}(x) = x^2/(n-1) * (1, -2, 1) on p^2, p^3, p^4
+        for n in (7, 19, 31):
+            F = fr.construct_dss(n)
+            x = F.n / F.m - 1.0
+            exact = mo.exact_expected_moment(F, 4).a
+            limit = [mo._poly_eval(blk, x) for blk in mo.asymptotic_moment(4).blocks]
+            delta = x ** 2 / (n - 1)
+            for k, want in enumerate((0.0, 0.0, delta, -2 * delta, delta)):
+                assert exact[k] - limit[k] == pytest.approx(want, abs=1e-12)
+
     def test_probe_rows_and_decay(self):
         rows = mo.crossing_decay_probe("dss", [7, 11, 19, 31])
         for row in rows:
             assert row["value"] == pytest.approx(row["etf_value"], abs=1e-9)
+            assert sorted(row["n_times_gap"]) == [4, 5, 6, 7, 8]
+            assert row["n_times_gap"][4] == pytest.approx(
+                2 * row["n"] * row["etf_value"], abs=1e-9)
+        # n times the gap falls with n at every order on an ETF ladder
+        for d in range(4, 9):
+            gaps = [row["n_times_gap"][d] for row in rows]
+            assert gaps == sorted(gaps, reverse=True)
         # n * value stays bounded: the contribution decays like 1/n
         scaled = [row["n_times_value"] for row in rows]
         assert max(scaled) / min(scaled) < 2.5
