@@ -51,6 +51,18 @@ def _cmd_frames_construct(args):
           f"tight={tight} equiangular={equi} -> {args.out}")
 
 
+def _one_line_errors(cmd):
+    """Report a bad argument or an unreadable frame file as one
+    ``<group> <cmd>: <reason>`` line on stderr, with exit status 1."""
+    def run(args):
+        try:
+            cmd(args)
+        except (OSError, ValueError, OverflowError) as exc:
+            raise SystemExit(f"{args.group} {args.cmd}: {exc}") from None
+    return run
+
+
+@_one_line_errors
 def _cmd_spectra_sample(args):
     F = frameio.load_frame(args.frame)
     spectra = run_trials(F, args.trials, lambda spec: spec.eigenvalues, args.seed, k=args.k)
@@ -61,6 +73,7 @@ def _cmd_spectra_sample(args):
     print(f"wrote {len(rows)} eigenvalues -> {args.out}")
 
 
+@_one_line_errors
 def _cmd_manova_density(args):
     params = manova.ManovaParams(args.beta, args.gamma)
     dist = manova.ManovaDistribution(params)
@@ -80,6 +93,7 @@ def _cmd_manova_density(args):
     print(f"wrote {args.grid} grid points -> {args.out} (atoms in {sidecar})")
 
 
+@_one_line_errors
 def _cmd_functional_eval(args):
     F = frameio.load_frame(args.frame)
     spec = FunctionalSpec(args.kind, delta=args.delta, alpha=args.alpha)
@@ -91,18 +105,7 @@ def _cmd_functional_eval(args):
     print(f"wrote {args.trials} evaluations -> {args.out}")
 
 
-def _moments_errors(cmd):
-    """Report an out-of-range order or an unreadable frame file as one
-    ``moments <cmd>: <reason>`` line on stderr, with exit status 1."""
-    def run(args):
-        try:
-            cmd(args)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"moments {args.cmd}: {exc}") from None
-    return run
-
-
-@_moments_errors
+@_one_line_errors
 def _cmd_moments_asymptotic(args):
     poly = moments.asymptotic_moment(args.d)
     if args.format == "latex":
@@ -112,7 +115,7 @@ def _cmd_moments_asymptotic(args):
                          sort_keys=True, indent=2))
 
 
-@_moments_errors
+@_one_line_errors
 def _cmd_moments_ewb(args):
     val = moments.ewb_bound(args.gamma, args.p, args.d, args.n)
     print(json.dumps({"gamma": args.gamma, "p": args.p, "d": args.d, "n": args.n,
@@ -122,7 +125,7 @@ def _cmd_moments_ewb(args):
                      sort_keys=True))
 
 
-@_moments_errors
+@_one_line_errors
 def _cmd_moments_exact(args):
     F = frameio.load_frame(args.frame)
     poly = moments.exact_expected_moment(F, args.d)
@@ -139,7 +142,10 @@ def _parse_range(spec: str):
     return np.arange(lo, hi + 0.5 * step, step)
 
 
+@_one_line_errors
 def _cmd_coding_curve(args):
+    if args.beta is None and not args.optimize_beta:
+        raise ValueError("give --beta or --optimize-beta")
     rows = []
     for ydb in _parse_range(args.sdr_db):
         y = 10.0 ** (ydb / 10.0)

@@ -211,3 +211,29 @@ def test_moments_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
     assert proc.returncode == 1
     assert proc.stderr.strip().splitlines() == [
         f"moments {argv[0]}: {reason.format(missing=missing)}"]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("spectra", "sample", "--frame", "{missing}", "--k", "3"),
+     "[Errno 2] No such file or directory: '{missing}'"),
+    (("functional", "eval", "--kind", "ac", "--frame", "{missing}", "--k", "3"),
+     "[Errno 2] No such file or directory: '{missing}'"),
+    (("manova", "density", "--beta", "0", "--gamma", "0.5"), "beta must be positive; got 0.0"),
+    (("coding", "curve", "--direction", "sc", "--p", "1.5", "--sdr-db", "10", "--beta", "0.5"),
+     "source coding needs p < beta < 1; got beta=0.5"),
+    (("coding", "curve", "--direction", "cc", "--p", "0.5", "--sdr-db", "10"),
+     "give --beta or --optimize-beta"),
+], ids=["spectra-missing-frame", "functional-missing-frame", "manova-beta",
+        "coding-beta-range", "coding-no-beta"])
+def test_commands_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    missing, out = tmp_path / "missing.json", tmp_path / "out.csv"
+    argv = [a.format(missing=missing) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "etfspectra.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines() == [
+        f"{argv[0]} {argv[1]}: {reason.format(missing=missing)}"]
+    assert not out.exists()

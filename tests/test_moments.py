@@ -256,6 +256,36 @@ class TestExactExpectedMoment:
         # the sums run in another order; the coefficients reach a few hundred
         assert np.max(np.abs(sliced - whole)) <= 1e-12 * np.max(np.abs(whole))
 
+    @pytest.mark.parametrize("family", ["haar_complex", "haar_real"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_program_is_the_contraction(self, d, family):
+        # each class's compiled program against one einsum over the whole network
+        G = fr.gram(fr.construct_random(family, 9, 5, seed=3))
+        for cls in mo._moment_plan(d)[1]:
+            ops = [np.diagonal(G) ** key[0] if len(key) == 1 else G ** key[0] * G.conj() ** key[1]
+                   for key in cls.keys]
+            want = np.einsum(cls.subs, *ops)
+            assert abs(mo._contract(cls.path, ops) - want) <= 1e-12 * abs(want), cls.subs
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_repeated_call_plans_nothing(self, d, monkeypatch):
+        F = fr.construct_dss(7)
+        first = mo.exact_expected_moment(F, d)
+        einsum = np.einsum
+
+        def planning(*args, **kwargs):
+            raise AssertionError("a repeated call planned a contraction path")
+
+        def einsum_without_path(*args, optimize=False, **kwargs):
+            if optimize is not False:
+                planning()
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(mo, "_elimination_path", planning)
+        monkeypatch.setattr(np, "einsum_path", planning)
+        monkeypatch.setattr(np, "einsum", einsum_without_path)
+        assert mo.exact_expected_moment(F, d) == first
+
     @pytest.mark.parametrize("d", range(1, 9))
     def test_class_sizes_sum_to_bell(self, d):
         classes = mo._moment_plan(d)[1]
