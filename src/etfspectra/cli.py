@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -34,32 +35,30 @@ from .spectra import run_trials
 
 # ---------------------------------------------------------------------------
 
-def _cmd_frames_construct(args):
-    params = {}
-    for key in ("n", "m", "q", "chirps", "seed"):
-        val = getattr(args, key)
-        if val is not None:
-            params["L" if key == "chirps" else key] = val
-    try:
-        F = frames.construct(args.family, **params)
-    except frames.FrameParameterError as exc:
-        raise SystemExit(f"frames construct: {exc}") from None
-    frameio.save_frame(F, args.out)
-    tight = frames.is_tight(F)
-    equi = frames.is_equiangular(F)
-    print(f"{args.family}: {F.m}x{F.n} field={'complex' if F.is_complex else 'real'} "
-          f"tight={tight} equiangular={equi} -> {args.out}")
-
-
 def _one_line_errors(cmd):
-    """Report a bad argument or an unreadable frame file as one
-    ``<group> <cmd>: <reason>`` line on stderr, with exit status 1."""
+    """Report a bad argument or a file that cannot be read or written as
+    one ``<group> <cmd>: <reason>`` line on stderr, with exit status 1."""
     def run(args):
         try:
             cmd(args)
         except (OSError, ValueError, OverflowError) as exc:
             raise SystemExit(f"{args.group} {args.cmd}: {exc}") from None
     return run
+
+
+@_one_line_errors
+def _cmd_frames_construct(args):
+    params = {}
+    for key in ("n", "m", "q", "chirps", "seed"):
+        val = getattr(args, key)
+        if val is not None:
+            params["L" if key == "chirps" else key] = val
+    F = frames.construct(args.family, **params)
+    frameio.save_frame(F, args.out)
+    tight = frames.is_tight(F)
+    equi = frames.is_equiangular(F)
+    print(f"{args.family}: {F.m}x{F.n} field={'complex' if F.is_complex else 'real'} "
+          f"tight={tight} equiangular={equi} -> {args.out}")
 
 
 @_one_line_errors
@@ -179,7 +178,17 @@ def _config_dict(args, sizes):
     return cfg
 
 
+def _check_out_path(path):
+    """Raise before any work when ``path`` cannot be a new output file."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"--out directory {folder!r} does not exist")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path!r} is a directory")
+
+
 def _harness_common(args):
+    _check_out_path(args.out)
     if args.config:
         with open(args.config) as fh:
             cfg = harness.parse_config(fh.read())
@@ -210,6 +219,7 @@ def _require_rungs(cmd, count, need, skipped=()):
     raise SystemExit(f"harness {cmd}: {why}; the fit needs at least {need}")
 
 
+@_one_line_errors
 def _cmd_harness(args):
     """test1 fits KS-distance variances, test2 functional deviations; both
     fit the family's ladder and the ensemble baseline at the same rungs and
@@ -220,11 +230,9 @@ def _cmd_harness(args):
     _require_rungs(args.cmd, len(set(sizes)), need)
     functional = None if test1 else FunctionalSpec(args.functional, delta=args.delta,
                                                    alpha=args.alpha)
-    try:
-        records, baseline, skipped = harness.run_ladder(args.family, sizes, args.beta, args.gamma,
-                                                        args.trials, args.seed, functional)
-    except frames.FrameParameterError as exc:  # an unknown family, before any rung
-        raise SystemExit(f"harness {args.cmd}: {exc}") from None
+    # an unknown family raises FrameParameterError before any rung
+    records, baseline, skipped = harness.run_ladder(args.family, sizes, args.beta, args.gamma,
+                                                    args.trials, args.seed, functional)
     for size, why in skipped:
         print(f"skipped n={size}: {why}", file=sys.stderr)
     harness.export(records, "csv", args.out, config=_config_dict(args, sizes))

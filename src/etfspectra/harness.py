@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import frames as fr
 from .functionals import FunctionalSpec, evaluate, limiting_value
@@ -285,7 +285,7 @@ def t_test_equal_slopes(fit_a: FitResult, fit_b: FitResult) -> float:
     if denom == 0.0:
         return 1.0 if fit_a.slope == fit_b.slope else 0.0
     t = (fit_a.slope - fit_b.slope) / denom
-    return float(2.0 * stats.t.sf(abs(t), dof))
+    return float(2.0 * special.stdtr(dof, -abs(t)))
 
 
 # ---------------------------------------------------------------------------

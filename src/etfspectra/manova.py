@@ -13,8 +13,11 @@ beta > 1, a point mass 1 - 1/beta at zero.  The same law reparameterized by
 (gamma, p = beta gamma) with the zero mass stripped appears in the erasure
 moment bounds; both forms are exposed here.
 
-Quadrature uses the substitution x = r- + (r+ - r-) sin^2(theta), which
-removes both inverse-square-root edge singularities.
+Integrals use the substitution x = r- + (r+ - r-) sin^2(theta), which
+removes both inverse-square-root edge singularities.  With phi = 2 theta the
+integrand is an even, 2 pi-periodic, analytic function of phi, so the
+equispaced midpoint rule in theta converges geometrically (Trefethen and
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 2014).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "ManovaParams",
@@ -132,11 +134,15 @@ class ManovaDistribution:
     edge-substituted continuous part.  gamma = 0 is Marchenko-Pastur(beta).
 
     cdf() interpolates a fine trapezoid grid in the substituted variable
-    (error ~1e-9), built on the first call; integrate() and moment() use
-    adaptive quadrature.
+    (error ~1e-9), built on the first call; integrate() and moment() use the
+    midpoint rule in theta, refined until it converges to 1e-12.
     """
 
     _GRID = 32769
+    _FIRST_NODES = 16
+    _MAX_NODES = 4_000_000
+    _CHUNK = 1 << 16
+    _RTOL = 1e-12
 
     def __init__(self, params: ManovaParams):
         self.params = params
@@ -163,14 +169,51 @@ class ManovaDistribution:
         return span ** 2 * s2 * c2 / (b * np.pi * x * (1.0 - g * x))
 
     def integrate(self, fn) -> float:
-        """Integral of fn against the full law: quad over the continuous
-        part plus fn at each point mass."""
+        """Integral of fn against the full law: the midpoint rule in theta
+        over the continuous part plus fn at each point mass.
+
+        fn must be vectorised: it receives a float array of support points
+        (and a float at each point mass) and returns values of the same
+        shape, as ``lambda x: x ** d`` does.  The rule starts at 16 nodes and
+        triples the count each round, which keeps the old nodes, until two
+        estimates agree to 1e-12 relative to the integral of |fn| times the
+        density.  A fn that is not analytic on the support (a step, a kink)
+        converges too slowly; when one more round would pass 4e6 nodes,
+        integrate raises ArithmeticError naming (beta, gamma) rather than
+        return an unconverged value.
+        """
         val = 0.0
         if self._continuous:
-            val, _ = integrate.quad(lambda th: fn(self._x_of(th)) * self._weight(th),
-                                    0.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-11,
-                                    limit=200)
+            val = self._midpoint_rule(fn)
         return val + sum(a.mass * fn(a.location) for a in self.atoms)
+
+    def _node_sums(self, fn, th):
+        """Sum of fn(x) w and of its absolute value over the nodes th."""
+        f = fn(self._x_of(th)) * self._weight(th)
+        return np.sum(f), np.sum(np.abs(f))
+
+    def _midpoint_rule(self, fn) -> float:
+        n = self._FIRST_NODES
+        h = (math.pi / 2.0) / n
+        total, size = self._node_sums(fn, (np.arange(n) + 0.5) * h)
+        est = h * total
+        while 3 * n <= self._MAX_NODES:
+            # node j + 1/2 of the old grid is node 3j + 3/2 of the new one;
+            # only 3j + 1/2 and 3j + 5/2 are new
+            h /= 3.0
+            for j0 in range(0, n, self._CHUNK):
+                j = 3.0 * np.arange(j0, min(j0 + self._CHUNK, n))
+                more, more_size = self._node_sums(fn, np.concatenate((j + 0.5, j + 2.5)) * h)
+                total += more
+                size += more_size
+            n *= 3
+            prev, est = est, h * total
+            if abs(est - prev) <= self._RTOL * h * size:
+                return float(est)
+        b, g = self.params.beta, self.params.gamma
+        raise ArithmeticError(
+            f"midpoint rule on MANOVA(beta={b}, gamma={g}) did not converge to "
+            f"{self._RTOL:g} with {n} nodes; last two estimates {float(prev)!r}, {float(est)!r}")
 
     def pdf(self, x):
         return manova_density(x, self.params)
@@ -183,8 +226,9 @@ class ManovaDistribution:
     def _cumulative(self):
         if self._grid is None:
             th = np.linspace(0.0, math.pi / 2.0, self._GRID)
-            self._grid = (th, integrate.cumulative_trapezoid(self._weight(th), th,
-                                                             initial=0.0))
+            w = self._weight(th)
+            cum = np.concatenate(([0.0], np.cumsum(np.diff(th) * (w[1:] + w[:-1]) / 2.0)))
+            self._grid = (th, cum)
         return self._grid
 
     def cdf(self, x):

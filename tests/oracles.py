@@ -3,8 +3,9 @@ reached from the package.  Each is a slower or more literal route to a
 quantity the package computes another way: the cycle contraction behind
 ``moments.partition_census``, the index-tuple enumeration behind
 ``moments.exact_expected_moment``, the eta-transform derivation of
-``manova.inverse_moment_amplification``, the MANOVA CDF by quadrature, and
-an empirical CDF for ``spectra.ks_distance``.
+``manova.inverse_moment_amplification``, the MANOVA CDF and integrals
+against the MANOVA law by adaptive quadrature, and an empirical CDF for
+``spectra.ks_distance``.
 """
 
 import itertools
@@ -154,6 +155,16 @@ def cdf_quad(dist, x: float) -> float:
     if dist._mass_top and x >= 1.0 / dist.params.gamma:
         out += dist._mass_top
     return out
+
+
+def integrate_quad(dist, fn) -> float:
+    """Integral of fn against a ManovaDistribution by adaptive quadrature
+    in the edge-substituted variable, plus fn at each point mass."""
+    val = 0.0
+    if dist._continuous:
+        val, _ = integrate.quad(lambda th: fn(dist._x_of(th)) * dist._weight(th),
+                                0.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-11, limit=200)
+    return val + sum(a.mass * fn(a.location) for a in dist.atoms)
 
 
 def empirical_cdf(sample):

@@ -1,9 +1,13 @@
 """Every etfspectra attribute that ``perfbench`` names must exist, so that
-removing one fails in the fast suite rather than in a benchmark run."""
+removing one fails in the fast suite rather than in a benchmark run; and
+importing the package must not pull in scipy subpackages it does not use."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -117,3 +121,19 @@ def test_public_names_are_used():
             if all(name in scopes for scopes in refs.uses.get(name, ())):
                 unused.append(f"{modname}.{name}")
     assert sorted(unused) == sorted(UNREFERENCED_OK)
+
+
+# scipy subpackages the package does not need; each costs start-up time in
+# every short-lived process (harness runs, scripts, benchmark clients)
+HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse")
+
+
+def test_import_loads_no_heavy_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    probe = f"import sys, etfspectra; print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -237,3 +237,42 @@ def test_commands_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
     assert proc.stderr.strip().splitlines() == [
         f"{argv[0]} {argv[1]}: {reason.format(missing=missing)}"]
     assert not out.exists()
+
+
+def _no_ladder(*args, **kwargs):
+    raise AssertionError("a rung ran before the paths were checked")
+
+
+@pytest.mark.parametrize("cmd", ("test1", "test2"))
+@pytest.mark.parametrize("bad", ("out_dir", "out_is_dir", "config"))
+def test_harness_bad_paths_exit_before_any_rung(tmp_path, monkeypatch, cmd, bad):
+    from etfspectra import harness
+
+    monkeypatch.setattr(harness, "run_ladder", _no_ladder)
+    out, cfg = tmp_path / "t.csv", tmp_path / "missing.cfg"
+    argv = ["harness", cmd, "--sizes", "32,64,128,256", "--trials", "4"]
+    if bad == "out_dir":
+        out = tmp_path / "missing" / "t.csv"
+        reason = f"--out directory '{out.parent}' does not exist"
+    elif bad == "out_is_dir":
+        out = tmp_path
+        reason = f"--out '{tmp_path}' is a directory"
+    else:
+        argv += ["--config", str(cfg)]
+        reason = f"[Errno 2] No such file or directory: '{cfg}'"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == f"harness {cmd}: {reason}"
+
+
+def test_frames_construct_missing_out_dir_exits_without_traceback(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "missing" / "x.json"
+    proc = subprocess.run([sys.executable, "-m", "etfspectra.cli", "frames", "construct",
+                           "--family", "dss", "--n", "7", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines() == [
+        f"frames construct: [Errno 2] No such file or directory: '{out}'"]

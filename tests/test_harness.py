@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import betainc
 
 from etfspectra import coding as cg
@@ -91,6 +92,13 @@ class TestTTest:
     def test_separates_distant_slopes(self):
         p = hs.t_test_equal_slopes(self._fit(0.93, 0.01), self._fit(0.47, 0.01))
         assert p < 1e-6
+
+    @pytest.mark.parametrize("dof", [1, 2, 5, 30])
+    @pytest.mark.parametrize("t", [0.0, 0.7, 4.3, 40.0])
+    def test_equals_scipy_stats_t_tail_exactly(self, t, dof):
+        # stderrs 1 and 0 make the statistic exactly t; n_a + n_b - 4 = dof
+        fa, fb = self._fit(t, 1.0, n=dof + 2), self._fit(0.0, 0.0, n=2)
+        assert hs.t_test_equal_slopes(fa, fb) == 2.0 * stats.t.sf(abs(t), dof)
 
 
 # every caller of the trial engine, as (seed, thread count) -> values

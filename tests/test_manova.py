@@ -9,7 +9,7 @@ from scipy import integrate
 from etfspectra import manova as mv
 from etfspectra import spectra as sp
 from etfspectra.rng import derive_rng
-from oracles import cdf_quad, eta_normalized, eta_tilde, z_eta_limit
+from oracles import cdf_quad, eta_normalized, eta_tilde, integrate_quad, z_eta_limit
 
 GRID = [(b, g) for b in (0.3, 0.6, 0.8, 0.9) for g in (0.25, 0.5)]
 
@@ -163,6 +163,34 @@ class TestMoments:
     def test_inverse_moment_needs_beta_below_one(self):
         with pytest.raises(ValueError):
             mv.manova_moment_numeric(-1, mv.ManovaParams(1.5, 0.5))
+
+
+# fixed before the rule was compared with quad: every (beta, gamma) with
+# p <= 1, and p = 1 - eps approached along three gammas
+QUAD_GRID = ([(b, g) for b in (0.3, 0.8, 0.999, 1.0, 1.5) for g in (0.0, 0.25, 0.5, 0.9)
+              if b * g <= 1.0]
+             + [((1.0 - eps) / g, g) for g in (0.25, 0.5, 0.9) for eps in (1e-3, 1e-6, 1e-9)])
+
+
+class TestMidpointRule:
+    """ManovaDistribution.integrate against adaptive quadrature."""
+
+    @pytest.mark.parametrize("beta,gamma", QUAD_GRID)
+    def test_matches_quad(self, beta, gamma):
+        law = mv.ManovaDistribution(mv.ManovaParams(beta, gamma))
+        fns = {f"x^{d}": (lambda d: lambda x: x ** float(d))(d)
+               for d in range(-1 if beta < 1.0 else 0, 7)}
+        fns.update({f"shannon alpha={a}": (lambda a: lambda x: np.log2(1.0 + a * x))(a)
+                    for a in (0.1, 1.0, 1e3)})
+        for name, fn in fns.items():
+            want = integrate_quad(law, fn)
+            assert law.integrate(fn) == pytest.approx(want, rel=1e-11), name
+
+    def test_discontinuous_integrand_raises(self):
+        law = mv.ManovaDistribution(mv.ManovaParams(0.8, 0.5))
+        step = math.sqrt(law.edges.r_minus * law.edges.r_plus)
+        with pytest.raises(ArithmeticError, match=r"beta=0\.8, gamma=0\.5"):
+            law.integrate(lambda x: (x < step).astype(float))
 
 
 class TestEdgeCases:
