@@ -14,7 +14,8 @@ Subcommand groups mirror the library layout:
     etfspectra harness test2 --functional shannon --alpha 1 --family dss --out test2.csv
 
 Both harness tests run the family's ladder and the MANOVA-ensemble baseline
-at the frame's own (n, m, k), fit both, and print the equal-slope t-test p.
+at the frame's own (n, m, k): test1 prints the equal-slope t-test p of the
+KS-variance fits, test2 the weighted log-ratio test (slope, z, chi^2, p).
 Every sampling command draws trial t from (seed, t), on the trial engine
 of ``spectra.run_trials``.
 """
@@ -145,27 +146,21 @@ def _parse_range(spec: str):
 def _cmd_coding_curve(args):
     if args.beta is None and not args.optimize_beta:
         raise ValueError("give --beta or --optimize-beta")
+    source = args.direction == "sc"
     rows = []
     for ydb in _parse_range(args.sdr_db):
         y = 10.0 ** (ydb / 10.0)
-        if args.direction == "sc":
-            if args.optimize_beta:
-                beta, rate = coding.optimize_beta("source", args.p, y, args.model)
-            else:
-                beta = args.beta
-                rate = coding.rate_sc(beta, args.p, y, args.model)
-            rows.append((repr(float(ydb)), repr(float(beta)), repr(float(rate)),
-                         repr(coding.rdf(args.p, y)),
-                         repr(coding.rdf(args.p, y) + coding.si_benchmark(args.p))))
+        if args.optimize_beta:
+            beta, val = coding.optimize_beta("source" if source else "channel", args.p, y,
+                                             args.model)
         else:
-            if args.optimize_beta:
-                beta, cap = coding.optimize_beta("channel", args.p, y, args.model)
-            else:
-                beta = args.beta
-                cap = coding.capacity_cc(beta, args.p, y, args.model)
-            rows.append((repr(float(ydb)), repr(float(beta)), repr(float(cap)),
-                         repr(coding.shannon_capacity(args.p, y)),
-                         repr(coding.si_benchmark(args.p))))
+            beta = args.beta
+            val = (coding.rate_sc if source else coding.capacity_cc)(beta, args.p, y, args.model)
+        if source:
+            bench = (coding.rdf(args.p, y), coding.rdf(args.p, y) + coding.si_benchmark(args.p))
+        else:
+            bench = (coding.shannon_capacity(args.p, y), coding.si_benchmark(args.p))
+        rows.append((repr(float(ydb)), repr(float(beta)), repr(float(val)), *map(repr, bench)))
     harness.write_csv(args.out, f"coding curve direction={args.direction} p={args.p} "
                       f"model={args.model}",
                       [("y_db", "beta_opt", "rate", "benchmark_rdf", "benchmark_si"), *rows])
@@ -207,48 +202,53 @@ def _harness_common(args):
     return sizes
 
 
-def _require_rungs(cmd, count, need, skipped=()):
+def _require_rungs(cmd, count, skipped=()):
     """Exit with a one-line reason when a ladder is too short to fit."""
-    if count >= need:
+    if count >= harness.MIN_FIT_POINTS:
         return
     if skipped:
         lost = ",".join(str(size) for size, _ in skipped)
         why = f"only {count} ladder sizes ran (skipped {lost})"
     else:
         why = f"the ladder has {count} distinct sizes"
-    raise SystemExit(f"harness {cmd}: {why}; the fit needs at least {need}")
+    raise SystemExit(f"harness {cmd}: {why}; the fit needs at least {harness.MIN_FIT_POINTS}")
 
 
 @_one_line_errors
 def _cmd_harness(args):
-    """test1 fits KS-distance variances, test2 functional deviations; both
-    fit the family's ladder and the ensemble baseline at the same rungs and
-    compare the two slopes."""
+    """test1 compares the KS-variance slopes of the family's ladder and of
+    the ensemble baseline at the same rungs; test2 tests the weighted slope
+    of log(frame mean / baseline mean) of a functional's squared deviation."""
     test1 = args.cmd == "test1"
     sizes = _harness_common(args)
-    need = harness.MIN_FIT_POINTS if test1 else harness.MIN_BASELINE_POINTS
-    _require_rungs(args.cmd, len(set(sizes)), need)
+    _require_rungs(args.cmd, len(set(sizes)))
     functional = None if test1 else FunctionalSpec(args.functional, delta=args.delta,
                                                    alpha=args.alpha)
-    # an unknown family raises FrameParameterError before any rung
+    # an unknown family or trials < 2 raises before any rung
     records, baseline, skipped = harness.run_ladder(args.family, sizes, args.beta, args.gamma,
                                                     args.trials, args.seed, functional)
     for size, why in skipped:
         print(f"skipped n={size}: {why}", file=sys.stderr)
     harness.export(records, "csv", args.out, config=_config_dict(args, sizes))
-    _require_rungs(args.cmd, len(records), need, skipped)
+    _require_rungs(args.cmd, len(records), skipped)
     if test1:
         fit, base = (harness.fit_power_law(r, "test1") for r in (records, baseline))
         result = (f"test1 {args.family}: slope={fit.slope:.5f} se={fit.stderr:.5f} "
                   f"R2={fit.r_squared:.5f} baseline_slope={base.slope:.5f} "
-                  f"baseline_se={base.stderr:.5f} baseline_R2={base.r_squared:.5f}")
+                  f"baseline_se={base.stderr:.5f} baseline_R2={base.r_squared:.5f} "
+                  f"p_equal={harness.t_test_equal_slopes(fit, base):.5g}")
+    elif baseline is records:
+        result = (f"test2 {args.family} psi_{args.functional}: "
+                  f"b_frame={harness.fit_power_law(records, 'test2').slope:.5f}; the family is "
+                  "its own baseline, so the log ratio is 0 by construction and not tested")
     else:
-        _, _, ratio = harness.fit_baseline_loglog(baseline)
-        fit, base = (harness.fit_power_law(r, "test2", ratio=ratio) for r in (records, baseline))
-        result = (f"test2 {args.family} psi_{args.functional}: b={fit.slope:.5f} "
-                  f"a={fit.second_coefficient:.5f} baseline_b={base.slope:.5f}")
-    p = harness.t_test_equal_slopes(fit, base)
-    print(f"{result} p_equal={p:.5g} -> {args.out}")
+        fit, p = harness.fit_log_ratio(records, baseline)
+        b_frame, b_base = (harness.fit_power_law(r, "test2").slope for r in (records, baseline))
+        result = (f"test2 {args.family} psi_{args.functional}: slope={fit.slope:.5f} "
+                  f"se={fit.stderr:.5f} z={fit.slope / fit.stderr:.5f} chi2({fit.n_points - 2})="
+                  f"{sum(e * e for e in fit.residuals):.5f} b_frame={b_frame:.5f} "
+                  f"b_baseline={b_base:.5f} p_equal={p:.5g}")
+    print(f"{result} -> {args.out}")
 
 
 HARNESS_DEFAULTS = {"family": "manova_ensemble", "beta": 0.8, "gamma": 0.5,

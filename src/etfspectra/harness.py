@@ -37,7 +37,7 @@ __all__ = [
     "run_ks_batch",
     "run_ladder",
     "fit_power_law",
-    "fit_baseline_loglog",
+    "fit_log_ratio",
     "t_test_equal_slopes",
     "export",
     "write_csv",
@@ -46,7 +46,6 @@ __all__ = [
     "DESK_SIZES",
     "FULL_SIZES",
     "MIN_FIT_POINTS",
-    "MIN_BASELINE_POINTS",
 ]
 
 # primes = 3 (mod 4), so the ladder serves DSS directly; the full profile
@@ -56,10 +55,8 @@ FULL_SIZES = (1031, 1151, 1291, 1451, 1571, 1811, 1951)
 
 ENSEMBLE_FAMILIES = ("manova_ensemble", "manova_ensemble_real")
 
-# fewest ladder rungs the fits accept: fit_power_law has one regressor,
-# fit_baseline_loglog two
+# fewest ladder rungs the fits accept: one regressor and an intercept
 MIN_FIT_POINTS = 3
-MIN_BASELINE_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -179,9 +176,9 @@ def run_ladder(family: str, sizes, beta: float, gamma: float, trials: int,
     (n, m, k) and field, from the same per-trial streams; an ensemble
     family is its own baseline.  Returns (records, baseline, skipped).
     """
+    if trials < 2:
+        raise ValueError("variance statistics need trials >= 2")
     if functional is None:
-        if trials < 2:
-            raise ValueError("variance statistics need trials >= 2")
         statistic, name = _ks, "ks"
     else:
         def statistic(params, ref):
@@ -205,71 +202,67 @@ class FitResult:
     r_squared: float
     residuals: tuple
     n_points: int
-    second_coefficient: float | None = None  # log log n exponent, Test 2
 
 
-def _ols(X: np.ndarray, y: np.ndarray):
-    """OLS with intercept: coefficients, their stderrs, R^2, residuals."""
-    N = len(y)
-    A = np.column_stack([np.ones(N), X])
+def fit_power_law(records, model: str = "test1") -> FitResult:
+    """Exponent fit over a size ladder: OLS on log n of -0.5 log(var of KS
+    distance) for test1, the variance decay exponent, or of -log(mean
+    squared functional deviation) for test2, one side's power exponent."""
+    if len(records) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} ladder points")
+    x = np.log(np.array([r.n for r in records], dtype=float))
+    if model == "test1":
+        y = -0.5 * np.log(np.array([r.variance for r in records]))
+    elif model == "test2":
+        y = -_log_means(records, records[0].frame_family)
+    else:
+        raise ValueError(f"model must be test1|test2; got {model!r}")
+    A = np.column_stack([np.ones(len(y)), x])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
-    dof = N - A.shape[1]
-    if dof <= 0:
-        raise ValueError("need more points than coefficients")
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(A.T @ A)
-    se = np.sqrt(np.diag(cov))
+    cov = float(resid @ resid) / (len(y) - 2) * np.linalg.inv(A.T @ A)
     tss = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else 1.0
-    return coef, se, r2, resid
+    return FitResult(float(coef[1]), float(coef[0]), math.sqrt(cov[1, 1]), r2,
+                     tuple(resid), len(records))
 
 
-def fit_power_law(records, model: str = "test1", ratio: float | None = None) -> FitResult:
-    """Exponent fit over a size ladder.
+def _log_means(records, side: str) -> np.ndarray:
+    """log of each rung's mean; a mean that is 0 or not finite raises."""
+    for r in records:
+        if not (math.isfinite(r.mean) and r.mean > 0.0):
+            raise ValueError(f"the {side} mean at n={r.n} is {r.mean!r}; its log is undefined")
+    return np.log([r.mean for r in records])
 
-    test1: regress -0.5 log(var of KS distance) on log n; the slope
-    estimates the variance decay exponent.
-    test2: regress -log(mean squared functional deviation) on the single
-    regressor log n + ratio * log log n, where ``ratio`` is the baseline's
-    loglog-to-log coefficient ratio (see fit_baseline_loglog); the slope
-    estimates the power exponent and slope * ratio the log exponent.
+
+def fit_log_ratio(records, baseline) -> tuple[FitResult, float]:
+    """Test 2: weighted least squares of log(mean_frame / mean_baseline) on
+    log n over rungs that share (n, m, k), and the two-sided normal p of
+    slope 0.  The slope is the baseline's power exponent minus the frame's;
+    a log factor common to both cancels.  Weights are 1 / (v_f + v_b), with
+    v = variance / (T mean^2) the delta-method variance of log(mean); the
+    residuals are weighted, so their sum of squares is chi^2 on N - 2 dof.
     """
     if len(records) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} ladder points")
-    ns = np.array([r.n for r in records], dtype=float)
-    if model == "test1":
-        y = -0.5 * np.log(np.array([r.variance for r in records]))
-        x = np.log(ns)
-        coef, se, r2, resid = _ols(x, y)
-        return FitResult(float(coef[1]), float(coef[0]), float(se[1]), r2,
-                         tuple(resid), len(records))
-    if model == "test2":
-        if ratio is None:
-            raise ValueError("test2 needs the baseline ratio")
-        y = -np.log(np.array([r.mean for r in records]))
-        x = np.log(ns) + ratio * np.log(np.log(ns))
-        coef, se, r2, resid = _ols(x, y)
-        return FitResult(float(coef[1]), float(coef[0]), float(se[1]), r2,
-                         tuple(resid), len(records),
-                         second_coefficient=float(coef[1]) * ratio)
-    raise ValueError(f"model must be test1|test2; got {model!r}")
-
-
-def fit_baseline_loglog(records) -> tuple[float, float, float]:
-    """Two-regressor fit of -log(mean sq deviation) on {log n, log log n}.
-
-    Returns (coef_log_n, coef_loglog_n, ratio) with ratio their quotient,
-    used as the fixed log-exponent ratio in the frame fits.
-    """
-    if len(records) < MIN_BASELINE_POINTS:
-        raise ValueError(f"need at least {MIN_BASELINE_POINTS} ladder points for two regressors")
-    ns = np.array([r.n for r in records], dtype=float)
-    y = -np.log(np.array([r.mean for r in records]))
-    X = np.column_stack([np.log(ns), np.log(np.log(ns))])
-    coef, _, _, _ = _ols(X, y)
-    b0, a0 = float(coef[1]), float(coef[2])
-    return b0, a0, a0 / b0
+    if [(r.n, r.m, r.k) for r in records] != [(r.n, r.m, r.k) for r in baseline]:
+        raise ValueError("frame and baseline rungs differ in (n, m, k)")
+    y = _log_means(records, "frame") - _log_means(baseline, "baseline")
+    v = sum(np.array([r.variance / (r.trials * r.mean ** 2) for r in side])
+            for side in (records, baseline))
+    if not np.all(v > 0.0):
+        raise ValueError(f"frame and baseline variances at n={records[np.argmin(v)].n} "
+                         "are both 0")
+    w, x = 1.0 / v, np.log(np.array([r.n for r in records], dtype=float))
+    xbar, ybar = np.average(x, weights=w), np.average(y, weights=w)
+    sxx = float(np.sum(w * (x - xbar) ** 2))
+    slope = float(np.sum(w * (x - xbar) * (y - ybar))) / sxx
+    intercept = float(ybar - slope * xbar)
+    resid = np.sqrt(w) * (y - intercept - slope * x)
+    chi2, tss = float(resid @ resid), float(np.sum(w * (y - ybar) ** 2))
+    fit = FitResult(slope, intercept, 1.0 / math.sqrt(sxx), 1.0 - chi2 / tss if tss > 0 else 1.0,
+                    tuple(float(e) for e in resid), len(records))
+    return fit, float(2.0 * special.ndtr(-abs(slope * math.sqrt(sxx))))
 
 
 def t_test_equal_slopes(fit_a: FitResult, fit_b: FitResult) -> float:

@@ -166,6 +166,9 @@ class ManovaDistribution:
         x = self._x_of(th)
         s2 = np.sin(th) ** 2
         c2 = np.cos(th) ** 2
+        if self.edges.r_minus == 0.0:
+            # beta = 1: x = span s2 and 1 - g x = (1 - 2g)^2 + g span c2
+            return span * c2 / (b * np.pi * ((1.0 - 2.0 * g) ** 2 + g * span * c2))
         return span ** 2 * s2 * c2 / (b * np.pi * x * (1.0 - g * x))
 
     def integrate(self, fn) -> float:

@@ -295,3 +295,22 @@ def test_criterion_10_crossing_decay():
         x = F.n / F.m - 1.0
         worst = max(worst, abs(mo.crossing_term(F) - x * x / (n - 1)))
     budget.finish(worst < 1e-9, f"max |crossing term - x^2/(n-1)| = {worst:.2e} (<1e-9)")
+
+
+def test_criterion_11_functional_convergence_ordering():
+    # The paper's ordering for the functional-convergence test, fixed before
+    # its first run: Shannon with alpha = 1, beta = 0.8, gamma = 1/2, 20 trials
+    # per rung, seed 0, the desk ladder and level 0.01.  The weighted
+    # log(frame mean / baseline mean) slope must not reject for the ETF (DSS)
+    # and must reject for the band-limited lowpass_dft code.
+    budget = Budget(11, 120.0)
+    shannon = FunctionalSpec("shannon", alpha=1.0)
+    ps, detail = {}, []
+    for family, bar in (("dss", "> 0.01"), ("lowpass_dft", "< 0.01")):
+        records, baseline, _ = hs.run_ladder(family, hs.DESK_SIZES, 0.8, 0.5, 20,
+                                             seed=SEED, functional=shannon)
+        fit, ps[family] = hs.fit_log_ratio(records, baseline)
+        chi2 = sum(e * e for e in fit.residuals)
+        detail.append(f"{family} slope {fit.slope:.3f} se {fit.stderr:.3f} "
+                      f"chi2({fit.n_points - 2}) {chi2:.2f} p={ps[family]:.3g} ({bar})")
+    budget.finish(ps["dss"] > 0.01 and ps["lowpass_dft"] < 0.01, "; ".join(detail))

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -115,14 +116,33 @@ def test_harness_flags_override_config(tmp_path, capsys):
 
 def test_harness_test2(tmp_path, capsys):
     out = tmp_path / "test2.csv"
-    run("harness", "test2", "--family", "manova_ensemble", "--functional", "shannon",
-        "--alpha", "1", "--trials", "8", "--seed", "0",
-        "--sizes", "32,64,128,256", "--out", str(out))
-    assert "p_equal=" in capsys.readouterr().out
+    argv = ["harness", "test2", "--functional", "shannon", "--alpha", "1", "--trials", "8",
+            "--seed", "0", "--sizes", "32,64,128", "--out", str(out)]
+    run(*argv, "--family", "lowpass_dft")
+    line = capsys.readouterr().out
+    assert line.startswith("test2 lowpass_dft psi_shannon: slope=")
+    assert all(f" {key}=" in line for key in ("se", "z", "chi2(1)", "b_frame", "b_baseline",
+                                             "p_equal"))
+    run(*argv, "--family", "manova_ensemble")
+    line = capsys.readouterr().out
+    assert "its own baseline, so the log ratio is 0 by construction" in line
+    assert "p_equal=" not in line
+
+
+def test_harness_test2_degenerate_rung_is_one_line(tmp_path):
+    # strip at delta 10 never fires on lowpass_dft(32): every deviation is 0
+    out = tmp_path / "test2.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["harness", "test2", "--family", "lowpass_dft", "--functional", "strip",
+                  "--delta", "10", "--trials", "4", "--sizes", "32,64,128,256",
+                  "--out", str(out)])
+    assert exc.value.code == "harness test2: the frame mean at n=32 is 0.0; its log is undefined"
 
 
 @pytest.mark.parametrize("cmd,sizes,need", [("test1", "103,211", 3),
-                                            ("test2", "32,64,128", 4),
+                                            ("test2", "32,64", 3),
                                             ("test1", "103,103,211", 3)])
 def test_harness_short_ladder_rejected_before_running(tmp_path, cmd, sizes, need):
     out = tmp_path / "short.csv"
@@ -263,6 +283,18 @@ def test_harness_bad_paths_exit_before_any_rung(tmp_path, monkeypatch, cmd, bad)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == f"harness {cmd}: {reason}"
+
+
+@pytest.mark.parametrize("cmd", ("test1", "test2"))
+def test_harness_one_trial_exits_before_any_rung(tmp_path, monkeypatch, cmd):
+    from etfspectra import harness
+
+    monkeypatch.setattr(harness, "_batch", _no_ladder)
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["harness", cmd, "--sizes", "32,64,128,256", "--trials", "1", "--out", str(out)])
+    assert exc.value.code == f"harness {cmd}: variance statistics need trials >= 2"
+    assert not out.exists()
 
 
 def test_frames_construct_missing_out_dir_exits_without_traceback(tmp_path):

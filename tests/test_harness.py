@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,29 +40,78 @@ class TestFits:
         with pytest.raises(ValueError):
             hs.fit_power_law(synthetic_records([100, 200], 0.9, 1.0), "test1")
 
-    def test_test2_noiseless(self):
-        # mean deviation C n^-b log^-a n with a/b = ratio known exactly
-        b, a, C = 1.8, 0.9, 2.0
-        recs = []
-        for n in [100, 200, 400, 800]:
-            mean = C * n ** (-b) * math.log(n) ** (-a)
-            recs.append(hs.ExperimentRecord("synthetic", n, n // 2, n // 3, 2 / 3,
-                                            0.5, 2, "psi", 0, values=(mean, mean)))
-        fit = hs.fit_power_law(recs, "test2", ratio=a / b)
-        assert fit.slope == pytest.approx(b, abs=1e-9)
-        assert fit.second_coefficient == pytest.approx(a, abs=1e-9)
 
-    def test_baseline_loglog_recovers_both_exponents(self):
-        b, a, C = 1.8, 0.9, 2.0
+def ratio_ladder(ns, b_frame, b_base, a, eps):
+    """Frame and baseline records whose values are mean * (1 -+ eps) with
+    mean = C n^-b (log n)^-a on each side, so every rung has a finite weight."""
+    sides = []
+    for b, C in ((b_frame, 2.0), (b_base, 0.3)):
         recs = []
-        for n in [100, 180, 320, 560, 1000, 1800]:
+        for n, e in zip(ns, eps):
             mean = C * n ** (-b) * math.log(n) ** (-a)
-            recs.append(hs.ExperimentRecord("synthetic", n, n // 2, n // 3, 2 / 3,
-                                            0.5, 2, "psi", 0, values=(mean, mean)))
-        b0, a0, ratio = hs.fit_baseline_loglog(recs)
-        assert b0 == pytest.approx(b, abs=1e-8)
-        assert a0 == pytest.approx(a, abs=1e-7)
-        assert ratio == pytest.approx(a / b, abs=1e-8)
+            recs.append(hs.ExperimentRecord("synthetic", n, n // 2, n // 3, 2 / 3, 0.5,
+                                            2, "psi", 0, values=(mean * (1 - e), mean * (1 + e))))
+        sides.append(recs)
+    return sides
+
+
+class TestLogRatioFit:
+    NS = [100, 200, 400, 800]
+
+    def test_noiseless_returns_exponent_difference(self):
+        # a shared (log n)^-0.9 factor cancels; unequal eps give unequal weights
+        frame, base = ratio_ladder(self.NS, 1.1, 1.8, 0.9, [0.01, 0.03, 0.02, 0.05])
+        fit, p = hs.fit_log_ratio(frame, base)
+        assert fit.slope == pytest.approx(1.8 - 1.1, abs=1e-9)
+        assert fit.n_points == 4
+        assert sum(e * e for e in fit.residuals) < 1e-18
+        assert p < 1e-12
+
+    def test_weighted_slope_matches_polyfit(self):
+        rng = np.random.default_rng(3)
+        ns = [103, 211, 431, 863, 1031]
+        frame, base = ratio_ladder(ns, 1.0, 1.0, 0.0, [0.1] * 5)
+        frame = [replace(r, trials=5, values=tuple(rng.gamma(2.0, 1.0 / r.n, 5)))
+                 for r in frame]
+        base = [replace(r, trials=7, values=tuple(rng.gamma(3.0, r.n ** -1.2, 7)))
+                for r in base]
+        fit, p = hs.fit_log_ratio(frame, base)
+        x = np.log(ns)
+        y = np.log([f.mean / b.mean for f, b in zip(frame, base)])
+        w = 1.0 / sum(np.array([r.variance / (r.trials * r.mean ** 2) for r in side])
+                      for side in (frame, base))
+        coef, cov = np.polyfit(x, y, 1, w=np.sqrt(w), cov="unscaled")
+        assert fit.slope == pytest.approx(coef[0], abs=1e-12)
+        assert fit.intercept == pytest.approx(coef[1], abs=1e-12)
+        assert fit.stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+        chi2 = float(np.sum(w * (y - np.polyval(coef, x)) ** 2))
+        assert sum(e * e for e in fit.residuals) == pytest.approx(chi2, rel=1e-10)
+        assert p == pytest.approx(2 * stats.norm.sf(abs(coef[0]) / math.sqrt(cov[0, 0])),
+                                  rel=1e-12)
+
+    @pytest.mark.parametrize("side,mean,why", [
+        ("frame", 0.0, "the frame mean at n=200 is 0.0"),
+        ("baseline", math.inf, "the baseline mean at n=200 is inf"),
+        ("both", 1e-3, "frame and baseline variances at n=200 are both 0"),
+    ])
+    def test_degenerate_rung_raises(self, side, mean, why):
+        frame, base = ratio_ladder(self.NS, 1.1, 1.8, 0.9, [0.01] * 4)
+        for name, recs in (("frame", frame), ("baseline", base)):
+            if side in (name, "both"):
+                recs[1] = hs.ExperimentRecord("synthetic", 200, 100, 66, 2 / 3, 0.5, 2,
+                                              "psi", 0, values=(mean, mean))
+        with pytest.raises(ValueError, match=why):
+            hs.fit_log_ratio(frame, base)
+
+    def test_mismatched_rungs_raise(self):
+        frame, base = ratio_ladder(self.NS, 1.1, 1.8, 0.9, [0.01] * 4)
+        with pytest.raises(ValueError, match="rungs differ"):
+            hs.fit_log_ratio(frame, base[::-1])
+
+    def test_needs_three_points(self):
+        frame, base = ratio_ladder(self.NS[:2], 1.1, 1.8, 0.9, [0.01] * 2)
+        with pytest.raises(ValueError):
+            hs.fit_log_ratio(frame, base)
 
 
 class TestTTest:
@@ -117,6 +167,14 @@ class TestBatches:
     def test_trials_guard(self):
         with pytest.raises(ValueError):
             hs.run_ks_batch("dss", (103,), 0.8, 0.5, 1, seed=0)
+        with pytest.raises(ValueError, match="trials >= 2"):
+            hs.run_ladder("dss", (103,), 0.8, 0.5, 1, seed=0,
+                          functional=FunctionalSpec("shannon", alpha=1.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_ks_finite_at_beta_one(self):
+        records, _ = hs.run_ks_batch("manova_ensemble", (64, 128), 1.0, 0.5, 3, seed=0)
+        assert all(0.0 < v < 1.0 for r in records for v in r.values)
 
     def test_skip_notice_for_bad_size(self):
         records, skipped = hs.run_ks_batch("dss", (100, 103), 0.8, 0.5, 4, seed=0)

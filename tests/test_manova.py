@@ -99,6 +99,18 @@ class TestCdf:
         for x in np.linspace(dist.edges.r_minus, dist.edges.r_plus, 9):
             assert dist.cdf(x) == pytest.approx(cdf_quad(dist, x), abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.9])
+    def test_grid_cdf_at_beta_one(self, gamma):
+        # r- = 0 makes the theta weight 0/0 at theta = 0; gamma = 1/2 also
+        # puts the top edge on the pole at 1/gamma
+        dist = mv.ManovaDistribution(mv.ManovaParams(1.0, gamma))
+        xs = np.linspace(dist.edges.r_minus, dist.edges.r_plus, 9)
+        cdf = dist.cdf(xs)
+        assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) >= 0)
+        for x, c in zip(xs, cdf):
+            assert c == pytest.approx(cdf_quad(dist, x), abs=1e-9)
+
     def test_median_of_large_ensemble_sample(self):
         # MC oracle: pooled ensemble eigenvalues straddle the CDF = 1/2 point
         rng = derive_rng(11)
