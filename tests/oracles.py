@@ -4,15 +4,16 @@ quantity the package computes another way: the cycle contraction behind
 ``moments.partition_census``, the index-tuple enumeration behind
 ``moments.exact_expected_moment``, the eta-transform derivation of
 ``manova.inverse_moment_amplification``, the MANOVA CDF and integrals
-against the MANOVA law by adaptive quadrature, and an empirical CDF for
-``spectra.ks_distance``.
+against the MANOVA law by adaptive quadrature, an empirical CDF for
+``spectra.ks_distance``, and the dense MANOVA-ensemble sampler behind
+``spectra.sample_manova_ensemble``.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, linalg
 
 
 # ---------------------------------------------------------------------------
@@ -178,3 +179,29 @@ def empirical_cdf(sample):
         return float(out) if out.ndim == 0 else out
 
     return cdf
+
+
+# ---------------------------------------------------------------------------
+# the MANOVA matrix ensemble by full products
+
+def dense_manova_ensemble(n: int, m: int, k: int, field: str, rng) -> np.ndarray:
+    """Ascending eigenvalues of one MANOVA(n, m, k) draw, from the same
+    stream as ``spectra.sample_manova_ensemble``: unit-variance Gaussians
+    (complex ones scaled by 1/sqrt(2)), full ``gemm`` products BB' and
+    AA' + BB', both symmetrized, and ``eigh``'s ``gvd`` driver; values
+    below ``spectra.ZERO_CLAMP`` are not clamped."""
+
+    def gaussian(shape):
+        if field == "real":
+            return rng.standard_normal(shape)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+    r, c = (k, m) if k <= m else (m, k)
+    A = gaussian((r, n - c))
+    B = gaussian((r, c))
+    BB = B @ B.conj().T
+    SS = BB + A @ A.conj().T
+    BB = 0.5 * (BB + BB.conj().T)
+    SS = 0.5 * (SS + SS.conj().T)
+    ev = np.clip(linalg.eigh(BB, SS, eigvals_only=True, driver="gvd"), 0.0, 1.0) * (n / c)
+    return np.sort(ev * (k / m) if k > m else ev)

@@ -227,6 +227,23 @@ class TestEdgeCases:
         assert law.moment(2) == pytest.approx(
             mv.manova_moment_closed(2, params) / params.p, abs=1e-8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", [mv.ManovaParams(0.8, 5 / 9), mv.ManovaParams(0.6, 0.625),
+                                        mv.ManovaParams(0.5, 2 / 3),
+                                        mv.ManovaParams.from_counts(776, 431, 345)],
+                             ids=["0.8,5/9", "0.6,0.625", "0.5,2/3", "rung-776"])
+    def test_cdf_with_top_edge_on_the_pole(self, params):
+        # p + gamma = 1 with beta != 1: r+ sits on the density's 1/gamma
+        # pole and there is no atom at the top
+        assert params.p + params.gamma == pytest.approx(1.0, abs=1e-15)
+        law = mv.ManovaDistribution(params)
+        xs = np.linspace(law.edges.r_minus, law.edges.r_plus, 9)
+        cdf = law.cdf(np.append(xs, 1e9))
+        assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) >= 0)
+        for x, c in zip(xs, cdf):
+            assert c == pytest.approx(cdf_quad(law, x), abs=1e-9)
+        assert cdf[-1] == pytest.approx(1.0, abs=1e-9)
+
 
 class TestAmplification:
     def test_table_values(self):
