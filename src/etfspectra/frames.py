@@ -19,7 +19,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -65,12 +65,6 @@ RANDOM_FAMILIES = (
 )
 
 
-# FrameMatrix.circulant_row: step tolerance relative to the largest |f_0|
-# entry, and the columns checked per block
-_CIRCULANT_TOL = 1e-13
-_CIRCULANT_BLOCK = 64
-
-
 @dataclass(frozen=True)
 class FrameMatrix:
     """An m-by-n frame with construction metadata.
@@ -102,36 +96,6 @@ class FrameMatrix:
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.entries)
-
-    @cached_property
-    def circulant_row(self) -> np.ndarray | None:
-        """The row g of a circulant Gram, G[i, j] = g[(j - i) % n], or None.
-
-        A complex frame whose columns are f_j = z^j * f_0 entrywise, with
-        z^n = 1, has G[i, j] = sum_r |f_0[r]|^2 z[r]^(j - i), a function of
-        (j - i) mod n; every harmonic frame (DSS, low-pass and
-        random-spectrum DFT, complex Paley) is one.  The structure is read
-        from the entries: z = f_1 / f_0, and every step f_{j+1} = z * f_j,
-        the wrap-around f_0 = z * f_{n-1} included, must hold to 1e-13 of
-        the largest |f_0| entry.  Real frames, frames with a zero in f_0 and
-        every other frame give None.  Computed once per frame, in column
-        blocks, so it never holds more than a block beside the entries.
-        """
-        E = self.entries
-        if not self.is_complex or self.n < 2:
-            return None
-        f0 = E[:, 0]
-        size = np.abs(f0)
-        if not size.min() > _CIRCULANT_TOL * size.max():  # no ratio to read z from
-            return None
-        z = E[:, 1] / f0
-        tol = _CIRCULANT_TOL * size.max()
-        for j0 in range(0, self.n, _CIRCULANT_BLOCK):
-            cols = E[:, j0:j0 + _CIRCULANT_BLOCK]
-            step = np.take(E, np.arange(j0 + 1, j0 + 1 + cols.shape[1]), axis=1, mode="wrap")
-            if not np.abs(step - z[:, None] * cols).max() <= tol:
-                return None
-        return f0.conj() @ E
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +142,14 @@ def _jacobsthal(q: int) -> np.ndarray:
 def _harmonic_frame(n: int, freqs: np.ndarray) -> np.ndarray:
     """Rows of the n-point IDFT at the given frequencies, unit-norm columns.
 
-    Entry (j, i) is exp(2*pi*1j*freqs[j]*i/n)/sqrt(m), gathered from a table
-    of the n-th roots of unity at the exact integer phase freqs[j]*i mod n,
-    so every entry has magnitude 1/sqrt(m), every column norm is exactly 1
-    and equal phases give equal entries.
+    Entry (j, i) is exp(2*pi*1j*freqs[j]*i/n)/sqrt(m), so every entry has
+    magnitude 1/sqrt(m) and every column norm is exactly 1.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
-    roots = np.exp(2j * np.pi * np.arange(n) / n) / math.sqrt(len(freqs))
-    return roots[np.outer(freqs, np.arange(n)) % n]
+    m = len(freqs)
+    i = np.arange(n)
+    phase = 2.0 * np.pi * np.outer(freqs, i) / n
+    return np.exp(1j * phase) / math.sqrt(m)
 
 
 def construct_dss(n: int) -> FrameMatrix:

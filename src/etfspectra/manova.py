@@ -93,7 +93,7 @@ class ManovaParams:
 def support_edges(params: ManovaParams) -> SupportEdges:
     b, g = params.beta, params.gamma
     s = math.sqrt(b * (1.0 - g))
-    t = math.sqrt(1.0 - b * g)
+    t = math.sqrt(max(1.0 - b * g, 0.0))  # p = b g may pass 1 by rounding (k = n)
     return SupportEdges((s - t) ** 2, (s + t) ** 2)
 
 
@@ -129,11 +129,6 @@ def manova_density(x, params: ManovaParams):
     return float(out) if out.ndim == 0 else out
 
 
-# the cdf grid and integrate() write 1 - gamma x as delta+ + gamma span c2
-# below this top gap delta+
-_NEAR_POLE = 1e-8
-
-
 def _top_gap(params: ManovaParams) -> float:
     """delta+ = 1 - gamma r+ = (sqrt((1-gamma)(1-p)) - sqrt(gamma p))^2, the
     gap between 1 and gamma times the top edge, in a form that does not
@@ -143,7 +138,7 @@ def _top_gap(params: ManovaParams) -> float:
     excess = 1.0 - p - g
     if abs(excess) <= 4.0 * np.finfo(float).eps:
         return 0.0
-    return (excess / (math.sqrt((1.0 - g) * (1.0 - p)) + math.sqrt(g * p))) ** 2
+    return (excess / (math.sqrt(max((1.0 - g) * (1.0 - p), 0.0)) + math.sqrt(g * p))) ** 2
 
 
 class ManovaDistribution:
@@ -184,14 +179,13 @@ class ManovaDistribution:
         x = self._x_of(th)
         s2 = np.sin(th) ** 2
         c2 = np.cos(th) ** 2
+        # 1 - g x = delta+ + g span c2, which does not round to 0 or below
+        # near theta = pi/2 when r+ sits at or next to the 1/g pole
+        gap = self._delta_plus + g * span * c2
         if self.edges.r_minus == 0.0:
-            # beta = 1: x = span s2 and 1 - g x = (1 - 2g)^2 + g span c2
-            return span * c2 / (b * np.pi * ((1.0 - 2.0 * g) ** 2 + g * span * c2))
-        if self._delta_plus < _NEAR_POLE:
-            # r+ at or next to the 1/g pole: 1 - g x = delta+ + g span c2,
-            # which 1 - g x as written rounds to 0 or below near theta = pi/2
-            return span ** 2 * s2 * c2 / (b * np.pi * x * (self._delta_plus + g * span * c2))
-        return span ** 2 * s2 * c2 / (b * np.pi * x * (1.0 - g * x))
+            # beta = 1: x = span s2, so the theta -> 0 limit is finite
+            return span * c2 / (b * np.pi * gap)
+        return span ** 2 * s2 * c2 / (b * np.pi * x * gap)
 
     def integrate(self, fn) -> float:
         """Integral of fn against the full law: the midpoint rule in theta

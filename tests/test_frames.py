@@ -32,16 +32,6 @@ class TestDss:
         expected = math.sqrt((7 - 3) / (6 * 3))
         assert np.max(np.abs(off - expected)) < 1e-9
 
-    def test_entries_from_reduced_phases(self):
-        # oracle: exp of the unreduced phase, accurate to about n eps; entries
-        # of equal phase mod n are equal, so frequency 1's row is the table
-        F = fr.construct_dss(863)
-        phase = np.outer(fr._quadratic_residues(863), np.arange(863))
-        direct = np.exp(2j * np.pi * phase / 863) / math.sqrt(F.m)
-        assert np.abs(F.entries - direct).max() < 1e-12
-        assert np.array_equal(F.entries, F.entries[0][phase % 863])
-        assert fr.is_tight(F) and fr.is_equiangular(F)
-
     def test_dss31_tight_residual(self):
         F = fr.construct_dss(31)
         assert F.m == 15

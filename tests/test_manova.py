@@ -228,6 +228,17 @@ class TestEdgeCases:
             mv.manova_moment_closed(2, params) / params.p, abs=1e-8)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, m", [(11, 9), (17, 3), (17, 6)])
+    def test_every_column_selected(self, n, m):
+        # k = n gives p = (n/m)(m/n), which rounds to 1 + 2.2e-16 here
+        params = mv.ManovaParams.from_counts(n, m, n)
+        assert params.p > 1.0
+        law = mv.ManovaDistribution(params)
+        assert law.cdf(1e9) == pytest.approx(1.0, abs=1e-12)
+        assert law.moment(1) == pytest.approx(mv.manova_moment_closed(1, params) / params.p,
+                                              abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("params", [mv.ManovaParams(0.8, 5 / 9), mv.ManovaParams(0.6, 0.625),
                                         mv.ManovaParams(0.5, 2 / 3),
                                         mv.ManovaParams.from_counts(776, 431, 345)],
