@@ -20,7 +20,7 @@ GALLERY = [
     ("spikes_hadamard", {"m": 16}),
     ("haar_complex", {"n": 64, "m": 32, "seed": 0}),
     ("haar_real", {"n": 64, "m": 32, "seed": 0}),
-    ("random_fourier", {"n": 64, "m": 32, "seed": 0}),
+    ("random_spectrum_dft", {"n": 64, "m": 32, "seed": 0}),
     ("random_cosine", {"n": 64, "m": 32, "seed": 0}),
     ("gaussian_iid", {"n": 64, "m": 32, "seed": 0}),
 ]

@@ -80,8 +80,8 @@ def _cmd_manova_density(args):
     lo, hi = dist.edges
     pad = 0.05 * (hi - lo)
     xs = np.linspace(max(lo - pad, 0.0), hi + pad, args.grid)
-    rows = [(repr(float(x)), repr(float(dist.pdf(x))), repr(float(dist.cdf(x))))
-            for x in xs]
+    rows = [(repr(float(x)), repr(float(f)), repr(float(c)))
+            for x, f, c in zip(xs, dist.pdf(xs), dist.cdf(xs))]
     harness.write_csv(args.out, f"manova density beta={args.beta} gamma={args.gamma}",
                       [("x", "pdf", "cdf"), *rows])
     sidecar = args.out + ".atoms.json"
@@ -120,7 +120,8 @@ def _cmd_moments_ewb(args):
     val = moments.ewb_bound(args.gamma, args.p, args.d, args.n)
     print(json.dumps({"gamma": args.gamma, "p": args.p, "d": args.d, "n": args.n,
                       "ewb": val,
-                      "manova_term": moments.manova_moment_formula(args.gamma, args.p, args.d),
+                      "manova_term": moments.asymptotic_moment(args.d).evaluate(
+                          args.p, 1.0 / args.gamma - 1.0),
                       "delta_term": moments.ewb_delta(args.gamma, args.p, args.d, args.n)},
                      sort_keys=True))
 
@@ -168,7 +169,10 @@ def _cmd_coding_curve(args):
 
 
 def _config_dict(args, sizes):
-    cfg = {k: v for k, v in vars(args).items() if k != "fn"}
+    """The run's settings, hashed into the export header: every argument but
+    where the output goes and which file the settings came from, whose
+    values are already merged into ``args``."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("fn", "out", "config")}
     cfg["sizes"] = list(sizes)
     return cfg
 

@@ -60,7 +60,6 @@ RANDOM_FAMILIES = (
     "gaussian_iid",
     "haar_real",
     "haar_complex",
-    "random_fourier",
     "random_cosine",
 )
 
@@ -330,7 +329,6 @@ def construct_random(family: str, n: int, m: int, seed: int,
                      asymptotically unless ``normalize_columns`` is set.
     haar_real/complex : first m rows of a Haar orthogonal/unitary matrix,
                      scaled by sqrt(n/m) (exactly tight).
-    random_fourier : m random DFT frequencies (same as random_spectrum_dft).
     random_cosine  : m random rows of the orthonormal DCT-II, scaled.
     """
     family = str(family)
@@ -347,9 +345,6 @@ def construct_random(family: str, n: int, m: int, seed: int,
     elif family in ("haar_real", "haar_complex"):
         U = _haar_factor(n, rng, complex_field=(family == "haar_complex"))
         entries = math.sqrt(n / m) * U[:, :m].conj().T
-    elif family == "random_fourier":
-        freqs = np.sort(rng.permutation(n)[:m])
-        entries = _harmonic_frame(n, freqs)
     else:  # random_cosine
         rows = np.sort(rng.permutation(n)[:m])
         i = np.arange(n)

@@ -18,6 +18,8 @@ removes both inverse-square-root edge singularities.  With phi = 2 theta the
 integrand is an even, 2 pi-periodic, analytic function of phi, so the
 equispaced midpoint rule in theta converges geometrically (Trefethen and
 Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 2014).
+The CDF needs no quadrature: the continuous part's antiderivative is a sum
+of three arctangents in theta.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "ManovaParams",
     "SupportEdges",
     "Atom",
-    "ManovaAtomError",
     "support_edges",
     "manova_density",
     "manova_atoms",
@@ -41,15 +42,6 @@ __all__ = [
     "manova_moment_closed",
     "inverse_moment_amplification",
 ]
-
-
-class ManovaAtomError(ValueError):
-    """Density requested exactly at a point mass; carries the Atom."""
-
-    def __init__(self, atom):
-        super().__init__(f"point mass {atom.mass} at x={atom.location}; "
-                         "use manova_atoms for atoms")
-        self.atom = atom
 
 
 class Atom(NamedTuple):
@@ -110,16 +102,10 @@ def manova_atoms(params: ManovaParams) -> tuple[Atom, ...]:
 
 
 def manova_density(x, params: ManovaParams):
-    """Continuous part of the MANOVA(beta, gamma) law; zero off support.
-
-    Raises ManovaAtomError when a scalar x sits exactly on a point mass.
-    """
+    """Continuous part of the MANOVA(beta, gamma) law; zero off support,
+    and at the point masses, which manova_atoms lists."""
     edges = support_edges(params)
     b, g = params.beta, params.gamma
-    if np.isscalar(x):
-        for atom in manova_atoms(params):
-            if x == atom.location:
-                raise ManovaAtomError(atom)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     inside = (x > edges.r_minus) & (x < edges.r_plus)
@@ -145,12 +131,11 @@ class ManovaDistribution:
     """MANOVA(beta, gamma) law: support edges, point masses and the
     edge-substituted continuous part.  gamma = 0 is Marchenko-Pastur(beta).
 
-    cdf() interpolates a fine trapezoid grid in the substituted variable
-    (error ~1e-9), built on the first call; integrate() and moment() use the
-    midpoint rule in theta, refined until it converges to 1e-12.
+    cdf() is the exact antiderivative, accurate to rounding; integrate()
+    and moment() use the midpoint rule in theta, refined until it converges
+    to 1e-12.
     """
 
-    _GRID = 32769
     _FIRST_NODES = 16
     _MAX_NODES = 4_000_000
     _CHUNK = 1 << 16
@@ -165,7 +150,6 @@ class ManovaDistribution:
         # at gamma = 1 or p = 1 the edges meet and the law is its atoms alone
         self._continuous = self.edges.r_plus > self.edges.r_minus
         self._delta_plus = _top_gap(params)
-        self._grid = None
 
     def _x_of(self, th):
         span = self.edges.r_plus - self.edges.r_minus
@@ -237,28 +221,44 @@ class ManovaDistribution:
     def pdf(self, x):
         return manova_density(x, self.params)
 
-    def _theta(self, x):
-        span = self.edges.r_plus - self.edges.r_minus
-        u = np.clip((np.asarray(x, dtype=float) - self.edges.r_minus) / span, 0.0, 1.0)
-        return np.arcsin(np.sqrt(u))
+    def _continuous_cdf(self, x):
+        """Mass of the continuous part below x, in closed form.
 
-    def _cumulative(self):
-        if self._grid is None:
-            th = np.linspace(0.0, math.pi / 2.0, self._GRID)
-            w = self._weight(th)
-            cum = np.concatenate(([0.0], np.cumsum(np.diff(th) * (w[1:] + w[:-1]) / 2.0)))
-            self._grid = (th, cum)
-        return self._grid
+        In theta the weight is (x - r-)(r+ - x) / (beta pi x (1 - gamma x)).
+        Its partial fractions in x, 1/gamma - r- r+ / x
+        - a delta+ / (gamma (1 - gamma x)) with a = 1 - gamma r-
+        = delta+ + gamma span, each integrate to an arctangent:
+
+            beta pi F = theta / gamma - sqrt(r- r+) psi - sqrt(a delta+) phi / gamma,
+            tan psi = sqrt(r+ / r-) tan theta,  tan phi = sqrt(delta+ / a) tan theta.
+
+        The 1/gamma terms are regrouped as (theta - phi)/gamma + K phi, with
+        K = (1 - sqrt(a delta+))/gamma = (r- + a r+)/(1 + sqrt(a delta+)),
+        so that nothing cancels as gamma -> 0.
+        """
+        b, g = self.params.beta, self.params.gamma
+        lo, hi = self.edges
+        span = hi - lo
+        gap = self._delta_plus
+        a = gap + g * span
+        rho = math.sqrt(gap / a)
+        k = (lo + hi * a) / (1.0 + math.sqrt(a * gap))
+        root = math.sqrt(lo * hi)
+        s = np.sqrt(np.clip((x - lo) / span, 0.0, 1.0))
+        c = np.sqrt(np.clip((hi - x) / span, 0.0, 1.0))
+        # tan(theta - phi) = gamma num / den; den is 0 only at r+ on the pole
+        num = span * s * c
+        den = a * (1.0 + rho) * (c * c + rho * s * s)
+        lead = num / den if g == 0.0 else np.arctan2(g * num, den) / g
+        below = (lead + k * np.arctan2(math.sqrt(gap) * s, math.sqrt(a) * c)
+                 - root * np.arctan2(math.sqrt(hi) * s, math.sqrt(lo) * c)) / (b * np.pi)
+        return np.where(x >= hi, (k - root) / (2.0 * b), below)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        cont = np.zeros_like(x)
+        out = np.where(x >= 0.0, self._mass0, 0.0)
         if self._continuous:
-            th, cum = self._cumulative()
-            cont = np.interp(self._theta(x), th, cum)
-            cont = np.where(x < self.edges.r_minus, 0.0, cont)
-            cont = np.where(x >= self.edges.r_plus, cum[-1], cont)
-        out = cont + np.where(x >= 0.0, self._mass0, 0.0)
+            out = out + self._continuous_cdf(x)
         if self._mass_top:
             out = out + np.where(x >= 1.0 / self.params.gamma, self._mass_top, 0.0)
         return float(out) if out.ndim == 0 else out

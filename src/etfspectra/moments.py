@@ -51,7 +51,6 @@ __all__ = [
     "exact_expected_moment",
     "all_subsets_expected_moment",
     "ewb_bound",
-    "manova_moment_formula",
     "ewb_delta",
     "partition_census",
     "asymptotic_moment",
@@ -262,19 +261,6 @@ def asymptotic_moment(d: int) -> MomentPolynomial:
 # ---------------------------------------------------------------------------
 # erasure Welch bound
 
-def manova_moment_formula(gamma: float, p: float, d: int) -> float:
-    """Closed-form limiting moment for d = 2, 3, 4."""
-    x = 1.0 / gamma - 1.0
-    if d == 2:
-        return p + p ** 2 * x
-    if d == 3:
-        return p + p ** 2 * 3 * x + p ** 3 * (x ** 2 - x)
-    if d == 4:
-        return (p + p ** 2 * 6 * x + p ** 3 * (6 * x ** 2 - 4 * x)
-                + p ** 4 * (x ** 3 - 3 * x ** 2 + x))
-    raise ValueError(f"closed form available for d in 2..4; got {d}")
-
-
 def ewb_delta(gamma: float, p: float, d: int, n: int) -> float:
     """Finite-n correction of the bound: zero for d = 2, 3."""
     if d in (2, 3):
@@ -295,7 +281,7 @@ def ewb_bound(gamma: float, p: float, d: int, n: int) -> float:
         raise ValueError(f"the bound is proven for d in 2..4; got {d}")
     if not (0.0 <= p <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError(f"need p in [0,1], gamma in (0,1]; got p={p}, gamma={gamma}")
-    return manova_moment_formula(gamma, p, d) + ewb_delta(gamma, p, d, n)
+    return asymptotic_moment(d).evaluate(p, 1.0 / gamma - 1.0) + ewb_delta(gamma, p, d, n)
 
 
 # ---------------------------------------------------------------------------

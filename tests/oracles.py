@@ -150,7 +150,8 @@ def cdf_quad(dist, x: float) -> float:
     if x < dist.edges.r_minus:
         cont = 0.0
     else:
-        hi = float(dist._theta(min(x, dist.edges.r_plus)))
+        lo, top = dist.edges
+        hi = math.asin(math.sqrt(min(x - lo, top - lo) / (top - lo)))
         cont, _ = integrate.quad(dist._weight, 0.0, hi, epsabs=1e-12, limit=200)
     out = cont + (dist._mass0 if x >= 0.0 else 0.0)
     if dist._mass_top and x >= 1.0 / dist.params.gamma:

@@ -46,6 +46,18 @@ def test_manova_density_with_sidecar(tmp_path):
     assert len(sidecar["support"]) == 2
 
 
+def test_manova_density_with_mass_at_zero(tmp_path):
+    # beta > 1: the grid starts on the atom at 0, where the density column
+    # holds the continuous part only
+    out = tmp_path / "density.csv"
+    run("manova", "density", "--beta", "1.5", "--gamma", "0.25", "--out", str(out))
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 + 2048
+    assert lines[2].split(",")[:2] == ["0.0", "0.0"]
+    (atom,) = json.loads((tmp_path / "density.csv.atoms.json").read_text())["atoms"]
+    assert atom == {"location": 0.0, "mass": pytest.approx(1 / 3, abs=1e-15)}
+
+
 def test_functional_eval(tmp_path):
     frame = tmp_path / "frame.json"
     run("frames", "construct", "--family", "dss", "--n", "31", "--out", str(frame))
@@ -112,6 +124,18 @@ def test_harness_flags_override_config(tmp_path, capsys):
         "--sizes", "32,64,96", "--out", str(out))
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
     assert all(r[6] == "4" for r in rows)
+
+
+def test_harness_export_does_not_depend_on_where_it_goes(tmp_path):
+    # the header hashes the settings, not --out or the --config path
+    flags = ["--family", "dss", "--sizes", "19,23,31", "--trials", "3"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = dss\nsizes = 19,23,31\ntrials = 3\n")
+    outs = [tmp_path / "a.csv", tmp_path / "second-name.csv", tmp_path / "from-config.csv"]
+    run("harness", "test1", *flags, "--out", str(outs[0]))
+    run("harness", "test1", *flags, "--out", str(outs[1]))
+    run("harness", "test1", "--config", str(cfg), "--out", str(outs[2]))
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_harness_test2(tmp_path, capsys):

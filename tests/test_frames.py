@@ -173,10 +173,10 @@ class TestRandomFamilies:
         b = fr.construct_random(family, 40, 20, seed=11)
         assert a.entries.tobytes() == b.entries.tobytes()
 
-    @pytest.mark.parametrize("family", ["haar_real", "haar_complex", "random_fourier",
+    @pytest.mark.parametrize("family", ["haar_real", "haar_complex", "random_spectrum_dft",
                                         "random_cosine"])
     def test_orthogonal_families_tight(self, family):
-        F = fr.construct_random(family, 48, 24, seed=5)
+        F = fr.construct(family, n=48, m=24, seed=5)
         assert fr.is_tight(F, 1e-9)
 
 

@@ -331,7 +331,7 @@ LADDER_SIZES = {
     "real_paley": (14, 30), "complex_paley": (7, 11), "grassmannian": (8, 12),
     "alltop": (5, 7), "spikes_sines": (8, 10), "spikes_hadamard": (8, 16),
     "gaussian_iid": (9, 16), "haar_real": (9, 16), "haar_complex": (9, 16),
-    "random_fourier": (9, 16), "random_cosine": (9, 16),
+    "random_cosine": (9, 16),
 }
 
 

@@ -13,6 +13,16 @@ from oracles import cdf_quad, eta_normalized, eta_tilde, integrate_quad, z_eta_l
 
 GRID = [(b, g) for b in (0.3, 0.6, 0.8, 0.9) for g in (0.25, 0.5)]
 
+# fixed before the rule was compared with quad: every (beta, gamma) with
+# p <= 1, and p = 1 - eps approached along three gammas
+LAW_GRID = [(b, g) for b in (0.3, 0.8, 0.999, 1.0, 1.5) for g in (0.0, 0.25, 0.5, 0.9)
+            if b * g <= 1.0]
+QUAD_GRID = (LAW_GRID
+             + [((1.0 - eps) / g, g) for g in (0.25, 0.5, 0.9) for eps in (1e-3, 1e-6, 1e-9)])
+
+# p + gamma = 1 - e puts r+ next to the 1/gamma pole: 1 - gamma r+ = delta+ < 1e-9
+NEAR_POLE = [((0.5 - e) / 0.5, 0.5) for e in (3e-5, 1e-5, 1e-10)]
+
 
 def rho_gamma_p(t, gamma, p):
     """Oracle: the (gamma, p) parameterization written out directly."""
@@ -69,10 +79,9 @@ class TestDensity:
         assert atom.location == pytest.approx(1 / 0.9)
         assert atom.mass == pytest.approx(1 + 1 / 0.9 - 1 / 0.81, abs=1e-12)
 
-    def test_density_at_atom_raises(self):
-        params = mv.ManovaParams(1.5, 0.5)
-        with pytest.raises(mv.ManovaAtomError):
-            mv.manova_density(0.0, params)
+    def test_density_at_an_atom_is_the_continuous_part(self):
+        assert mv.manova_density(0.0, mv.ManovaParams(1.5, 0.5)) == 0.0
+        assert mv.manova_density(1 / 0.9, mv.ManovaParams(0.9, 0.9)) == 0.0
 
     def test_gamma_p_parameterization_matches_pointwise(self):
         for beta, gamma in [(0.8, 0.5), (1.6, 0.5), (0.6, 0.25)]:
@@ -110,6 +119,33 @@ class TestCdf:
         assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) >= 0)
         for x, c in zip(xs, cdf):
             assert c == pytest.approx(cdf_quad(dist, x), abs=1e-9)
+
+    @pytest.mark.parametrize("beta,gamma", QUAD_GRID + NEAR_POLE)
+    def test_all_mass_below_infinity(self, beta, gamma):
+        law = mv.ManovaDistribution(mv.ManovaParams(beta, gamma))
+        assert law.cdf(1e9) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta,gamma", QUAD_GRID + NEAR_POLE)
+    def test_monotone_and_finite_on_a_fine_grid(self, beta, gamma):
+        # (1, 0.5) has r- = 0 and r+ on the pole, where tan(theta - phi) is
+        # 0/0 at the top edge
+        law = mv.ManovaDistribution(mv.ManovaParams(beta, gamma))
+        lo, hi = law.edges
+        xs = np.sort(np.concatenate((np.linspace(lo, hi, 2001),
+                                     [lo - 1.0, 0.0, np.nextafter(hi, 0.0), 1e9])))
+        cdf = law.cdf(xs)
+        assert np.all(np.isfinite(cdf))
+        assert np.all(np.diff(cdf) >= -1e-15)  # a few rounding units of 1
+
+    @pytest.mark.parametrize("beta,gamma", LAW_GRID)
+    def test_slope_is_the_density(self, beta, gamma):
+        law = mv.ManovaDistribution(mv.ManovaParams(beta, gamma))
+        lo, hi = law.edges
+        xs = lo + (hi - lo) * np.linspace(0.05, 0.95, 19)
+        h = 1e-5 * (hi - lo)
+        slope = (law.cdf(xs + h) - law.cdf(xs - h)) / (2.0 * h)
+        np.testing.assert_allclose(slope, law.pdf(xs), rtol=1e-7)
 
     def test_median_of_large_ensemble_sample(self):
         # MC oracle: pooled ensemble eigenvalues straddle the CDF = 1/2 point
@@ -175,13 +211,6 @@ class TestMoments:
     def test_inverse_moment_needs_beta_below_one(self):
         with pytest.raises(ValueError):
             mv.manova_moment_numeric(-1, mv.ManovaParams(1.5, 0.5))
-
-
-# fixed before the rule was compared with quad: every (beta, gamma) with
-# p <= 1, and p = 1 - eps approached along three gammas
-QUAD_GRID = ([(b, g) for b in (0.3, 0.8, 0.999, 1.0, 1.5) for g in (0.0, 0.25, 0.5, 0.9)
-              if b * g <= 1.0]
-             + [((1.0 - eps) / g, g) for g in (0.25, 0.5, 0.9) for eps in (1e-3, 1e-6, 1e-9)])
 
 
 class TestMidpointRule:

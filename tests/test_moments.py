@@ -315,8 +315,10 @@ class TestEwbBound:
 
     def test_d4_plugin(self):
         # gamma=0.5 -> x=1; delta = 0.25 * 0.25 * 1/6 at p=0.5, n=7
-        val = mo.ewb_bound(0.5, 0.5, 4, 7)
-        mano = mo.manova_moment_formula(0.5, 0.5, 4)
+        p, x = 0.5, 1.0
+        mano = (p + p ** 2 * 6 * x + p ** 3 * (6 * x ** 2 - 4 * x)
+                + p ** 4 * (x ** 3 - 3 * x ** 2 + x))
+        val = mo.ewb_bound(0.5, p, 4, 7)
         assert val == pytest.approx(mano + 0.25 * 0.25 / 6, abs=1e-14)
 
     def test_d4_matches_exact_moment_on_etf(self):
