@@ -144,9 +144,11 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-6):
 def optimize_beta(direction: str, p: float, y: float, model):
     """Best redundancy: minimizes the source rate or maximizes the channel
     capacity by golden section to width 1e-6 (the objective is smooth and
-    empirically unimodal).  The channel search spans beta up to
-    max(10, p / 1e-4), i.e. gamma down to 1e-4.  Returns (beta_opt,
-    optimum value)."""
+    empirically unimodal).  The source search spans beta in [p + 1e-4,
+    1 - 1e-4], which is empty from p = 0.9998 on; the channel search spans
+    beta up to max(10, p / 1e-4), i.e. gamma down to 1e-4.  Both need p in
+    [0, 1].  Returns (beta_opt, optimum value)."""
+    tol = 1e-6
     if direction == "source":
         lo, hi = p + 1e-4, 1.0 - 1e-4
         objective = lambda b: rate_sc(b, p, y, model)
@@ -155,7 +157,10 @@ def optimize_beta(direction: str, p: float, y: float, model):
         objective = lambda b: -capacity_cc(b, p, y, model)
     else:
         raise ValueError(f"direction must be source|channel; got {direction!r}")
-    b, v = _golden_min(objective, lo, hi)
+    if not (0.0 <= p <= 1.0 and hi - lo > tol):
+        raise ValueError(f"no {direction} beta to search at p={p}: the bracket is [{lo}, {hi}], "
+                         f"and the search needs 0 <= p <= 1 and a width above {tol}")
+    b, v = _golden_min(objective, lo, hi, tol)
     return (b, -v) if direction == "channel" else (b, v)
 
 

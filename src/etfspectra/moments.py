@@ -18,7 +18,8 @@ live here:
   erasure patterns (the independent oracle),
 * ``asymptotic_moment`` evaluates the n -> infinity polynomial for
   equiangular tight frames by contracting the d-cycle along non-crossing
-  partitions (exact rational arithmetic).  The partitions are never
+  partitions, in integer arithmetic: no step divides, so every coefficient
+  is a Python int (see ``MomentPolynomial``).  The partitions are never
   enumerated: ``partition_census`` counts the contracted cycle types in
   closed form (the Kreweras census).  The cycles left by a partition pi
   are the blocks of size >= 2 of its Kreweras complement, and the
@@ -36,8 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -70,21 +70,14 @@ MAX_ASYMPTOTIC_D = 12
 
 
 # ---------------------------------------------------------------------------
-# exact rational polynomials in x, represented as tuples of Fractions
+# integer polynomials in x, represented as tuples of ints (constant first)
 
 def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n))
-
-
-def _poly_scale(a, c):
-    return tuple(c * ai for ai in a)
+    return tuple(ai + bi for ai, bi in itertools.zip_longest(a, b, fillvalue=0))
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
@@ -94,21 +87,24 @@ def _poly_mul(a, b):
 def _poly_eval(a, x: float) -> float:
     acc = 0.0
     for c in reversed(a):
-        acc = acc * x + float(c)
+        acc = acc * x + c
     return acc
 
 
 def _binom_poly(d: int):
     """(x+1)^d as a coefficient tuple."""
-    return tuple(Fraction(math.comb(d, j)) for j in range(d + 1))
+    return tuple(math.comb(d, j) for j in range(d + 1))
 
 
 @dataclass(frozen=True)
 class MomentPolynomial:
-    """m_d(p, x) with exact rational coefficients.
+    """m_d(p, x) with integer coefficients.
 
     ``blocks[k]`` is the x-polynomial multiplying p^k (k = 0..d); x stands
-    for the frame redundancy n/m - 1.
+    for the frame redundancy n/m - 1.  The coefficients are integers because
+    no step of ``asymptotic_moment`` divides: each block is a sum of
+    Kreweras counts times products of integer full-cycle blocks, and each
+    full-cycle block is (x+1)^(d-1) minus the other blocks.
     """
 
     degree_d: int
@@ -116,13 +112,8 @@ class MomentPolynomial:
 
     @property
     def coefficients(self) -> dict:
-        """Map (power of p, power of x) -> Fraction, zeros omitted."""
-        out = {}
-        for k, blk in enumerate(self.blocks):
-            for j, c in enumerate(blk):
-                if c != 0:
-                    out[(k, j)] = c
-        return out
+        """Map (power of p, power of x) -> int coefficient, zeros omitted."""
+        return {(k, j): c for k, blk in enumerate(self.blocks) for j, c in enumerate(blk) if c}
 
     def evaluate(self, p: float, x: float) -> float:
         acc = 0.0
@@ -131,11 +122,8 @@ class MomentPolynomial:
         return acc
 
     def at_p_one(self) -> tuple:
-        """Exact x-polynomial of the p = 1 specialization."""
-        out = (Fraction(0),)
-        for blk in self.blocks:
-            out = _poly_add(out, blk)
-        return out
+        """Integer x-polynomial of the p = 1 specialization."""
+        return reduce(_poly_add, self.blocks, (0,))
 
     def as_dict(self) -> dict:
         return {f"p^{k} x^{j}": str(c) for (k, j), c in sorted(self.coefficients.items())}
@@ -208,11 +196,9 @@ def partition_census(d: int) -> dict:
 # asymptotic ETF moments via cycle contraction
 
 @lru_cache(maxsize=None)
-def _census(d: int) -> tuple:
-    """Hashable partition_census(d): ((k, ((cycles, count), ...)), ...)."""
-    return tuple(
-        (k, tuple(sorted(by_cycles.items())))
-        for k, by_cycles in sorted(partition_census(d).items()))
+def _census(d: int) -> dict:
+    """partition_census(d), counted once per d; not to be mutated."""
+    return partition_census(d)
 
 
 @lru_cache(maxsize=None)
@@ -220,11 +206,10 @@ def _a_diag(d: int) -> tuple:
     """a_{d,d}(x): the full-cycle coefficient, closed through the tight-frame
     p = 1 identity (x+1)^(d-1) = sum_k a_{d,k}."""
     if d == 1:
-        return (Fraction(1),)
-    total = _binom_poly(d - 1)
-    total = _poly_add(total, (Fraction(-1),))  # remove a_{d,1} = 1
+        return (1,)
+    total = _poly_add(_binom_poly(d - 1), (-1,))  # remove a_{d,1} = 1
     for k in range(2, d):
-        total = _poly_add(total, _poly_scale(_a_block(d, k), Fraction(-1)))
+        total = _poly_add(total, tuple(-c for c in _a_block(d, k)))
     return total
 
 
@@ -233,15 +218,12 @@ def _a_block(d: int, k: int) -> tuple:
     """a_{d,k}(x) for 2 <= k < d: sum over non-crossing partitions with k
     blocks of the product of full-cycle coefficients of the contracted
     cycles (crossing partitions vanish asymptotically)."""
-    acc = (Fraction(0),)
-    for kk, by_cycles in _census(d):
-        if kk != k:
-            continue
-        for cycles, count in by_cycles:
-            term = (Fraction(count),)
-            for length in cycles:
-                term = _poly_mul(term, _a_diag(length))
-            acc = _poly_add(acc, term)
+    acc = (0,)
+    for cycles, count in _census(d)[k].items():
+        term = (count,)
+        for length in cycles:
+            term = _poly_mul(term, _a_diag(length))
+        acc = _poly_add(acc, term)
     return acc
 
 
@@ -250,11 +232,9 @@ def asymptotic_moment(d: int) -> MomentPolynomial:
     d = int(d)
     if not 1 <= d <= MAX_ASYMPTOTIC_D:
         raise ValueError(f"d must be in 1..{MAX_ASYMPTOTIC_D}; got {d}")
-    blocks = [(Fraction(0),), (Fraction(1),)]  # p^0 and p^1 (a_{d,1} = 1)
+    blocks = [(0,), (1,)]  # p^0 and p^1 (a_{d,1} = 1)
     for k in range(2, d + 1):
         blocks.append(_a_diag(d) if k == d else _a_block(d, k))
-    if d == 1:
-        blocks = blocks[:2]
     return MomentPolynomial(d, tuple(blocks))
 
 
@@ -263,6 +243,8 @@ def asymptotic_moment(d: int) -> MomentPolynomial:
 
 def ewb_delta(gamma: float, p: float, d: int, n: int) -> float:
     """Finite-n correction of the bound: zero for d = 2, 3."""
+    if n < 2:
+        raise ValueError(f"the bound needs n >= 2 vectors; got n={n}")
     if d in (2, 3):
         return 0.0
     if d == 4:
@@ -426,8 +408,8 @@ def _contract(program: tuple, operands) -> complex:
     """Run a contraction program on its operands."""
     live = list(operands)
     for take, run in program:
-        args = [live.pop(i) for i in reversed(take)]
-        live.append(run(*reversed(args)))
+        y = live.pop(take[-1])  # the higher position first, so take[0] stays put
+        live.append(run(live.pop(take[0]), y) if len(take) == 2 else run(y))
     return live[0]
 
 
@@ -447,8 +429,8 @@ class _CycleClass(NamedTuple):
 def _moment_plan(d: int) -> tuple:
     """Everything ``exact_expected_moment`` needs that depends on d alone:
     the dihedral classes of set partitions tau of the d cycle positions,
-    and weights[k, c], class c's size times the p^k coefficient of its
-    cumulant product prod_{B in tau} kappa_|B|(p).
+    weights[k, c], class c's size times the p^k coefficient of its
+    cumulant product prod_{B in tau} kappa_|B|(p), and the G-powers.
 
     C_tau(G), the cycle c_{i1 i2} ... c_{id i1} summed over the index tuples
     constant on each block, is a sum over the quotient graph of the cycle:
@@ -459,6 +441,9 @@ def _moment_plan(d: int) -> tuple:
     the real part.  Each class carries its contraction program, compiled
     here once per d: the pairwise steps of ``_elimination_path`` with their
     transposes and axis insertions fixed, so that a call plans nothing.
+    The G-powers the classes read are listed as (key, prev, step), each
+    after its factors, so that a call forms each by one product prev * step
+    with step diag(G) (1,), G (1, 0) or conj(G) (0, 1).
     """
     orbits: dict = {}
     for lab in _set_partitions(d):
@@ -490,7 +475,14 @@ def _moment_plan(d: int) -> tuple:
                                    tuple(t[0] == "a" for t in terms),
                                    *_elimination_path(terms)))
     weights.flags.writeable = False
-    return weights, tuple(classes)
+    factors = {}
+    for key in {key for cls in classes for key in cls.keys}:
+        while sum(key) > 1:
+            step = (1,) if len(key) == 1 else (1, 0) if key[0] else (0, 1)
+            factors[key] = tuple(k - s for k, s in zip(key, step)), step
+            key = factors[key][0]
+    # a key's prev sorts before it: (l-1,) < (l,), (f-1, r) < (f, r), (0, r-1) < (0, r)
+    return weights, tuple(classes), tuple((key, *factors[key]) for key in sorted(factors))
 
 
 def _exact_work(d: int, n: int) -> int:
@@ -507,13 +499,14 @@ def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
     set partitions tau of the d cycle positions on whose blocks the tuple is
     constant of prod_{B in tau} kappa_|B|(p) (the moment-cumulant formula:
     Leonov & Shiryaev 1959; Rota 1964), so n m_d(p) = sum_tau prod_B
-    kappa_|B|(p) C_tau(G).  A call forms one Gram, then runs the contraction
-    program of each dihedral class of tau (7 at d = 4, 37 at d = 6, 354 at
-    d = 8), which ``_moment_plan`` compiles once per d: pairwise steps in the
+    kappa_|B|(p) C_tau(G).  A call forms one Gram and the elementwise
+    G-powers of the plan, then runs the contraction program of each
+    dihedral class of tau (7 at d = 4, 37 at d = 6, 354 at d = 8), which
+    ``_moment_plan`` compiles once per d: pairwise steps in the
     order of ``_elimination_path``, a BLAS product (matmul or dot) wherever
     a step sums an index of both its operands, a broadcast multiply for a
     Hadamard or outer product and ``np.add.reduce`` for a one-operand sum.  A call
-    at d = 4 takes about 0.1 ms on DSS(7) and 0.14 ms on DSS(31) (one BLAS
+    at d = 4 takes about 0.06 ms on DSS(7) and 0.09 ms on DSS(31) (one BLAS
     thread of a 2-CPU box).  At d <= 7 every step costs at most n^3
     with n^2 intermediates; the four d = 8 classes whose quotient is K4 with
     two opposite edges doubled cost n^4 and are sliced along index 'a' to
@@ -525,26 +518,25 @@ def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
     n = F.n
     if not 1 <= d <= MAX_EXACT_D:
         raise ValueError(f"d must be in 1..{MAX_EXACT_D}; got {d}")
-    if _exact_work(d, n) > MAX_EXACT_WORK:
-        raise ValueError(f"order {d} on n = {n} vectors needs {_exact_work(d, n):.2e} "
+    work = _exact_work(d, n)
+    if work > MAX_EXACT_WORK:
+        raise ValueError(f"order {d} on n = {n} vectors needs {work:.2e} "
                          f"multiply-adds, above the guard of {MAX_EXACT_WORK:.0e}")
-    weights, classes = _moment_plan(d)
+    weights, classes, powers = _moment_plan(d)
     G = gram(F)
     operands = {(1,): np.diagonal(G), (1, 0): G, (0, 1): G.conj()}
-
-    def operand(key):
-        if key not in operands:
-            step = (1,) if len(key) == 1 else (1, 0) if key[0] else (0, 1)
-            operands[key] = operand(tuple(k - s for k, s in zip(key, step))) * operands[step]
-        return operands[key]
-
+    for key, prev, step in powers:
+        operands[key] = operands[prev] * operands[step]
     sums = np.zeros(len(classes))
     for c, cls in enumerate(classes):
-        ops = [operand(key) for key in cls.keys]
+        ops = [operands[key] for key in cls.keys]
         chunk = max(1, _SLICE_ELEMENTS // n ** max(cls.rank - 1, 0))
-        sums[c] = sum(_contract(cls.path, (op[s:s + chunk] if cut else op
-                                           for op, cut in zip(ops, cls.sliced))).real
-                      for s in range(0, n, chunk))
+        if chunk >= n:
+            sums[c] = _contract(cls.path, ops).real
+        else:
+            sums[c] = sum(_contract(cls.path, [op[s:s + chunk] if cut else op
+                                               for op, cut in zip(ops, cls.sliced)]).real
+                          for s in range(0, n, chunk))
     a = weights @ sums / n
     a[0] = 0.0
     return SubsetMomentPolynomial(d, tuple(a))

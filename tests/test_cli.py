@@ -242,7 +242,12 @@ def test_frames_construct_bad_parameters_exit_without_traceback(tmp_path, params
     (("ewb", "--gamma", "0.5", "--p", "0.5", "--d", "5", "--n", "7"),
      "the bound is proven for d in 2..4; got 5"),
     (("asymptotic", "--d", "13"), "d must be in 1..12; got 13"),
-], ids=["exact-order", "exact-missing-frame", "ewb-order", "asymptotic-order"])
+    (("ewb", "--gamma", "0.5", "--p", "0.5", "--d", "4", "--n", "1"),
+     "the bound needs n >= 2 vectors; got n=1"),
+    (("ewb", "--gamma", "0.5", "--p", "0.5", "--d", "4", "--n", "0"),
+     "the bound needs n >= 2 vectors; got n=0"),
+], ids=["exact-order", "exact-missing-frame", "ewb-order", "asymptotic-order", "ewb-n1",
+        "ewb-n0"])
 def test_moments_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -267,8 +272,12 @@ def test_moments_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
      "source coding needs p < beta < 1; got beta=0.5"),
     (("coding", "curve", "--direction", "cc", "--p", "0.5", "--sdr-db", "10"),
      "give --beta or --optimize-beta"),
+    (("coding", "curve", "--direction", "sc", "--p", "0.9999", "--model", "manova",
+      "--sdr-db", "10:20:10", "--optimize-beta"),
+     "no source beta to search at p=0.9999: the bracket is [1.0, 0.9999], "
+     "and the search needs 0 <= p <= 1 and a width above 1e-06"),
 ], ids=["spectra-missing-frame", "functional-missing-frame", "manova-beta",
-        "coding-beta-range", "coding-no-beta"])
+        "coding-beta-range", "coding-no-beta", "coding-no-bracket"])
 def test_commands_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)

@@ -135,6 +135,24 @@ class TestOptimizeBeta:
         with pytest.raises(ValueError):
             cg.optimize_beta("sideways", 0.5, 10.0, "mp")
 
+    @pytest.mark.parametrize("p", [0.9998, 0.99985, 0.99999, 1.0, -0.1])
+    def test_source_without_a_bracket_raises(self, p):
+        # [p + 1e-4, 1 - 1e-4] is empty or inverted from p = 0.9998 on
+        with pytest.raises(ValueError, match=rf"no source beta to search at p={p}: "
+                                             r"the bracket is \["):
+            cg.optimize_beta("source", p, 10.0, "manova")
+
+    def test_source_just_below_the_bracket_limit(self):
+        p = 0.9997
+        beta, rate = cg.optimize_beta("source", p, 10.0, "manova")
+        assert p < beta < 1.0
+        assert math.isfinite(rate)
+
+    @pytest.mark.parametrize("p", [1.5, -0.1])
+    def test_channel_p_outside_unit_interval_raises(self, p):
+        with pytest.raises(ValueError, match=f"no channel beta to search at p={p}"):
+            cg.optimize_beta("channel", p, 10.0, "manova")
+
 
 class TestHighResolutionGaps:
     def test_analytic_difference_values(self):
