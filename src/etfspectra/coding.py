@@ -147,7 +147,9 @@ def optimize_beta(direction: str, p: float, y: float, model):
     empirically unimodal).  The source search spans beta in [p + 1e-4,
     1 - 1e-4], which is empty from p = 0.9998 on; the channel search spans
     beta up to max(10, p / 1e-4), i.e. gamma down to 1e-4.  Both need p in
-    [0, 1].  Returns (beta_opt, optimum value)."""
+    [0, 1].  Returns (beta_opt, optimum value); when the objective is 0 for
+    every beta (p = 0, a source SDR of 1 or a channel SNR of 0) no beta is
+    optimal, and it returns (nan, 0.0)."""
     tol = 1e-6
     if direction == "source":
         lo, hi = p + 1e-4, 1.0 - 1e-4
@@ -160,6 +162,8 @@ def optimize_beta(direction: str, p: float, y: float, model):
     if not (0.0 <= p <= 1.0 and hi - lo > tol):
         raise ValueError(f"no {direction} beta to search at p={p}: the bracket is [{lo}, {hi}], "
                          f"and the search needs 0 <= p <= 1 and a width above {tol}")
+    if p == 0.0 or y == (1.0 if direction == "source" else 0.0):
+        return math.nan, 0.0
     b, v = _golden_min(objective, lo, hi, tol)
     return (b, -v) if direction == "channel" else (b, v)
 

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import frames as fr
 from .functionals import FunctionalSpec, evaluate, limiting_value
@@ -262,6 +261,7 @@ def fit_log_ratio(records, baseline) -> tuple[FitResult, float]:
     chi2, tss = float(resid @ resid), float(np.sum(w * (y - ybar) ** 2))
     fit = FitResult(slope, intercept, 1.0 / math.sqrt(sxx), 1.0 - chi2 / tss if tss > 0 else 1.0,
                     tuple(float(e) for e in resid), len(records))
+    from scipy import special  # on use, so that importing the package skips it
     return fit, float(2.0 * special.ndtr(-abs(slope * math.sqrt(sxx))))
 
 
@@ -278,6 +278,7 @@ def t_test_equal_slopes(fit_a: FitResult, fit_b: FitResult) -> float:
     if denom == 0.0:
         return 1.0 if fit_a.slope == fit_b.slope else 0.0
     t = (fit_a.slope - fit_b.slope) / denom
+    from scipy import special
     return float(2.0 * special.stdtr(dof, -abs(t)))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from .frames import FrameMatrix
 from .rng import derive_rng
@@ -154,61 +154,63 @@ def ks_distance(spec, reference_cdf, jump_points=()) -> float:
     return d
 
 
-def _gaussian(rng, shape, field: str) -> np.ndarray:
-    """Standard Gaussians; a complex array takes its real parts, then its
-    imaginary parts, each drawn in C order."""
-    if field == "complex":
-        out = np.empty(shape, dtype=complex)
-        out.real = rng.standard_normal(shape)
-        out.imag = rng.standard_normal(shape)
-        return out
-    if field == "real":
-        return rng.standard_normal(shape)
-    raise ValueError(f"field must be 'real' or 'complex'; got {field!r}")
-
-
 def sample_manova_ensemble(n: int, m: int, k: int, field: str = "complex",
                            seed=None) -> SubsetSpectrum:
     """One spectrum draw from the MANOVA(n, m, k) matrix ensemble.
 
     For k <= m these are the eigenvalues of
     (n/m) (AA' + BB')^(-1/2) BB' (AA' + BB')^(-1/2) with A of shape
-    k x (n-m) and B of shape k x m i.i.d. Gaussian, computed as the
-    generalized eigenvalues of the pencil (BB', AA' + BB'), which do not
-    depend on a common scale of A and B.  For k > m the roles of k and m
-    are swapped and the k/m nonzero-spectrum scaling applied, so values
-    again live in [0, n/m].
+    k x (n-m) and B of shape k x m i.i.d. Gaussian.  For k > m the roles
+    of k and m are swapped and the k/m nonzero-spectrum scaling applied,
+    so values again live in [0, n/m].
 
-    BB' and AA' + BB' are two rank updates (``herk`` for the complex field,
-    ``syrk`` for the real one) into lower triangles, solved in place by
-    ``eigh``'s ``gv`` driver.  On one BLAS thread at (n, m, k) =
-    (863, 431, 345) a complex draw takes 36-45 ms (about 10 ms of
-    Gaussians, 8 ms of rank updates and 20 ms of ``eigh``), against
-    49-73 ms with full products, symmetrized, and the ``gvd`` driver.
+    BB' and AA' are independent Wisharts, so each is RR' for a Bartlett
+    factor R (Bartlett 1933; Goodman 1963 for the complex field): upper
+    triangular, chi diagonals and Gaussian entries above them, r^2 variates
+    for both factors instead of r n.  With C = R1^-1 R2 (one ``trsm``) the
+    generalized eigenvalues of the pencil (BB', AA' + BB') are
+    1 / (1 + nu) for the eigenvalues nu of CC' (``lauum``) or C'C
+    (``herk``/``syrk``), one standard Hermitian ``eigh``.  When AA' has
+    rank n - c < r, R2 keeps n - c columns and the missing r - (n - c)
+    values sit at the top edge.  On one BLAS thread at
+    (n, m, k) = (863, 432, 346) a complex draw takes 37-40 ms (about 4 ms
+    of variates, 2 ms of triangles, 5 ms of ``trsm``, 3 ms of ``lauum`` and
+    22-28 ms of ``eigh``), against 55-59 ms for the Gaussian draw with
+    ``eigh``'s ``gv`` driver, kept as the test oracle.
     """
     n, m, k = int(n), int(m), int(k)
     if not (1 <= k <= n and 1 <= m <= n):
         raise ValueError(f"need 1 <= k, m <= n; got n={n}, m={m}, k={k}")
+    if field not in ("real", "complex"):
+        raise ValueError(f"field must be 'real' or 'complex'; got {field!r}")
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
     r, c = (k, m) if k <= m else (m, k)
-    # r x r problem with "dimension" c: A is r x (n-c), B is r x c
-    A = _gaussian(rng, (r, n - c), field)
-    B = _gaussian(rng, (r, c), field)
-    # the C-ordered r x w draw X is the Fortran-ordered X^T, whose update
-    # (X^T)' X^T is the conjugate of XX'; a conjugated pencil has the same
-    # eigenvalues
-    rank_update, trans = (blas.zherk, 2) if field == "complex" else (blas.dsyrk, 1)
-    BB = rank_update(1.0, B.T, trans=trans, lower=1)
-    if n == c:  # no A
-        SS = BB.copy(order="F")
-    else:
-        SS = rank_update(1.0, A.T, beta=1.0, c=BB, trans=trans, lower=1)
-    try:
-        ev = linalg.eigh(BB, SS, lower=True, eigvals_only=True, overwrite_a=True,
-                         overwrite_b=True, driver="gv")
-    except linalg.LinAlgError as exc:  # singular AA'+BB' has probability zero
-        raise linalg.LinAlgError(f"ensemble draw failed: {exc}") from exc
-    ev = np.clip(ev, 0.0, 1.0) * (n / c)
+    d = n - c  # AA' is r x r of rank w
+    w = min(r, d)
+    lam = np.ones(r)
+    if w:
+        f = 2 if field == "complex" else 1
+        G = rng.standard_normal((r, f * r))
+        if f == 2:
+            G = G.view(complex)
+        R1 = np.triu(G, 1)
+        R2 = np.tril(G, -1).T[:, r - w:]  # np.triu(G.T, 1), Fortran-ordered
+        R1[np.arange(r), np.arange(r)] = np.sqrt(rng.chisquare(f * (c - r + 1 + np.arange(r))))
+        R2[np.arange(r - w, r), np.arange(w)] = np.sqrt(
+            rng.chisquare(f * (d - w + 1 + np.arange(w))))
+        if f == 2:
+            trsm, lauum, rank_update, trans = blas.ztrsm, lapack.zlauum, blas.zherk, 2
+        else:
+            trsm, lauum, rank_update, trans = blas.dtrsm, lapack.dlauum, blas.dsyrk, 1
+        # R1.T is R1's transpose in Fortran order, so trans_a=1 solves R1 C = R2
+        C = trsm(1.0, R1.T, R2, lower=1, trans_a=1, overwrite_b=1)
+        if w == r:
+            W = lauum(C, lower=0, overwrite_c=1)[0]  # CC' in the upper triangle
+        else:
+            W = rank_update(1.0, C, trans=trans, lower=0)  # C'C in the upper triangle
+        nu = linalg.eigh(W, lower=False, eigvals_only=True, overwrite_a=True)
+        lam[:w] = 1.0 / (1.0 + np.clip(nu, 0.0, None))
+    ev = lam * (n / c)
     if k > m:
         ev = ev * (k / m)
     ev, n_clamped = _clamp(np.sort(ev))

@@ -186,11 +186,12 @@ def empirical_cdf(sample):
 # the MANOVA matrix ensemble by full products
 
 def dense_manova_ensemble(n: int, m: int, k: int, field: str, rng) -> np.ndarray:
-    """Ascending eigenvalues of one MANOVA(n, m, k) draw, from the same
-    stream as ``spectra.sample_manova_ensemble``: unit-variance Gaussians
-    (complex ones scaled by 1/sqrt(2)), full ``gemm`` products BB' and
-    AA' + BB', both symmetrized, and ``eigh``'s ``gvd`` driver; values
-    below ``spectra.ZERO_CLAMP`` are not clamped."""
+    """Ascending eigenvalues of one MANOVA(n, m, k) draw by the definition:
+    Gaussian A and B (complex ones scaled by 1/sqrt(2)), full ``gemm``
+    products BB' and AA' + BB', both symmetrized, and ``eigh``'s ``gvd``
+    driver on the pencil; values below ``spectra.ZERO_CLAMP`` are not
+    clamped.  It draws the same law as ``spectra.sample_manova_ensemble``
+    from a different stream, so the two are compared in distribution."""
 
     def gaussian(shape):
         if field == "real":

@@ -96,6 +96,16 @@ def test_coding_curve(tmp_path):
     assert len(lines) == 2 + 3
 
 
+def test_coding_curve_at_0_db_has_no_optimal_beta(tmp_path):
+    # at an SDR of 1 the rate is 0 for every beta
+    out = tmp_path / "rd.csv"
+    run("coding", "curve", "--direction", "sc", "--p", "0.5", "--model", "manova",
+        "--sdr-db", "0:20:10", "--optimize-beta", "--out", str(out))
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert rows[0][:3] == ["0.0", "nan", "0.0"]
+    assert all(0.5 < float(row[1]) < 1.0 for row in rows[1:])
+
+
 def test_harness_test1(tmp_path, capsys):
     out = tmp_path / "test1.csv"
     run("harness", "test1", "--family", "manova_ensemble", "--beta", "0.8",

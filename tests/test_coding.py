@@ -148,6 +148,15 @@ class TestOptimizeBeta:
         assert p < beta < 1.0
         assert math.isfinite(rate)
 
+    @pytest.mark.parametrize("direction, p, y", [("source", 0.0, 100.0), ("source", 0.5, 1.0),
+                                                 ("channel", 0.5, 0.0)],
+                             ids=["p=0", "sdr=1", "snr=0"])
+    def test_flat_objective_has_no_optimum(self, direction, p, y):
+        # the rate or capacity is 0 for every beta; no bracket end is optimal
+        beta, val = cg.optimize_beta(direction, p, y, "manova")
+        assert math.isnan(beta)
+        assert val == 0.0
+
     @pytest.mark.parametrize("p", [1.5, -0.1])
     def test_channel_p_outside_unit_interval_raises(self, p):
         with pytest.raises(ValueError, match=f"no channel beta to search at p={p}"):

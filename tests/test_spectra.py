@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from etfspectra import frames as fr
 from etfspectra import spectra as sp
@@ -149,6 +150,33 @@ class TestKsDistance:
         assert d_fast == pytest.approx(d_grid, abs=1e-6)
 
 
+# two-sample KS comparison of ensemble samplers; draws, seeds and level
+# fixed before the first run
+KS_DRAWS = 2000
+KS_LEVEL = 1e-3  # per statistic, four statistics per case
+
+
+def _sampled(n, m, k, field, rng):
+    return sp.sample_manova_ensemble(n, m, k, field, rng).eigenvalues
+
+
+def _dense_clamped(n, m, k, field, rng):
+    ev = dense_manova_ensemble(n, m, k, field, rng)
+    ev[ev < sp.ZERO_CLAMP] = 0.0
+    return ev
+
+
+def _ensemble_draws(sampler, n, m, k, field, rng):
+    return np.array([sampler(n, m, k, field, rng) for _ in range(KS_DRAWS)])
+
+
+def _ks_pvalues(a, b):
+    """Two-sample KS p-values of the per-draw min, max, trace and sum of squares."""
+    return [stats.ks_2samp(f(a), f(b)).pvalue
+            for f in (lambda x: x.min(axis=1), lambda x: x.max(axis=1),
+                      lambda x: x.sum(axis=1), lambda x: (x ** 2).sum(axis=1))]
+
+
 class TestManovaEnsemble:
     def test_range(self):
         spec = sp.sample_manova_ensemble(100, 50, 40, "complex", seed=1)
@@ -184,15 +212,35 @@ class TestManovaEnsemble:
                                          (40, 30, 25)],
                              ids=["k<m", "k=m", "k>m", "m=n", "top-atom"])
     def test_draws_match_dense_oracle(self, field, n, m, k):
-        # draw for draw from the same stream; (40, 30, 25) has p + gamma > 1,
-        # so r - (n - c) = 15 values sit at the top edge n/c
-        for t in range(1, 6):
-            got = sp.sample_manova_ensemble(n, m, k, field, derive_rng(11, t)).eigenvalues
-            want = dense_manova_ensemble(n, m, k, field, derive_rng(11, t))
-            want[want < sp.ZERO_CLAMP] = 0.0
-            assert np.abs(got - want).max() <= 1e-12 * want.max()
-            if (n, m, k) == (40, 30, 25):
-                assert np.sum(np.isclose(got, n / m, rtol=1e-12)) == 15
+        # same law from independent streams: two-sample KS on per-draw statistics
+        got = _ensemble_draws(_sampled, n, m, k, field, derive_rng(20))
+        want = _ensemble_draws(_dense_clamped, n, m, k, field, derive_rng(21))
+        if m == n:  # no A: every value is the top edge n/m
+            assert np.all(got == n / m)
+            assert np.allclose(want, n / m, rtol=1e-12, atol=0.0)
+            return
+        assert min(_ks_pvalues(got, want)) >= KS_LEVEL
+        r, c = sorted((k, m))
+        if r > n - c:  # p + gamma > 1: r - (n - c) = 15 values sit at the top edge n/m
+            assert np.all(np.sum(np.isclose(got, n / m, rtol=1e-12), axis=1) == 15)
+
+    def test_ks_rejects_a_chi_shifted_sampler(self):
+        # the same kernel with one more degree of freedom on every chi of B's
+        # Bartlett factor (an off-by-one in its formula) must fail the test above
+        class ShiftedChi(np.random.Generator):
+            shifted = False
+
+            def chisquare(self, df, size=None):
+                df = np.asarray(df) + (0 if self.shifted else 1)
+                self.shifted = True
+                return super().chisquare(df, size)
+
+        def shifted(n, m, k, field, rng):
+            return _sampled(n, m, k, field, ShiftedChi(rng.bit_generator))
+
+        got = _ensemble_draws(shifted, 60, 30, 20, "real", derive_rng(20))
+        want = _ensemble_draws(_dense_clamped, 60, 30, 20, "real", derive_rng(21))
+        assert min(_ks_pvalues(got, want)) < KS_LEVEL
 
     def test_deterministic_given_seed(self):
         a = sp.sample_manova_ensemble(60, 30, 24, "complex", seed=8)
