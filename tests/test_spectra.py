@@ -206,6 +206,8 @@ class TestManovaEnsemble:
     def test_real_field_supported(self):
         spec = sp.sample_manova_ensemble(80, 40, 32, "real", seed=4)
         assert len(spec.eigenvalues) == 32
+        with pytest.raises(ValueError, match="field must be"):
+            sp.sample_manova_ensemble(80, 40, 32, "quaternion", seed=4)
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     @pytest.mark.parametrize("n, m, k", [(60, 30, 20), (60, 30, 30), (60, 30, 45), (30, 30, 12),
