@@ -10,7 +10,8 @@ import etfspectra  # noqa: F401  (first: it sets the BLAS thread count before nu
 import numpy as np
 
 from etfspectra import frames as fr
-from etfspectra.functionals import FunctionalSpec, evaluate
+from etfspectra.functionals import FunctionalSpec, evaluate, limiting_value
+from etfspectra.manova import ManovaParams
 from etfspectra.spectra import run_trials
 
 
@@ -22,8 +23,7 @@ def run(sizes, betas, trials, seed):
         m = F.m
         for beta in betas:
             k = round(beta * m)
-            p = k / n
-            limit = (1 - p) / (1 - k / m)
+            limit = limiting_value(spec, ManovaParams.from_counts(n, m, k))
             vals = np.array(run_trials(F, trials, lambda s: evaluate(spec, s), seed,
                                        (n, round(100 * beta)), k=k))
             rmse = math.sqrt(np.mean((vals - limit) ** 2))

@@ -56,6 +56,9 @@ class FrameParameterError(ValueError):
     """Raised when a construction is asked for parameters it does not support."""
 
 
+# absolute tolerance of the tight and equiangular predicates
+TOL = 1e-9
+
 RANDOM_FAMILIES = (
     "gaussian_iid",
     "haar_real",
@@ -321,12 +324,11 @@ def _haar_factor(n: int, rng, complex_field: bool) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
-def construct_random(family: str, n: int, m: int, seed: int,
-                     normalize_columns: bool = False) -> FrameMatrix:
+def construct_random(family: str, n: int, m: int, seed: int) -> FrameMatrix:
     """Random frame families.
 
     gaussian_iid   : entries i.i.d. N(0, 1/m); columns have unit norm only
-                     asymptotically unless ``normalize_columns`` is set.
+                     asymptotically.
     haar_real/complex : first m rows of a Haar orthogonal/unitary matrix,
                      scaled by sqrt(n/m) (exactly tight).
     random_cosine  : m random rows of the orthonormal DCT-II, scaled.
@@ -340,8 +342,6 @@ def construct_random(family: str, n: int, m: int, seed: int,
     rng = derive_rng(seed)
     if family == "gaussian_iid":
         entries = rng.standard_normal((m, n)) / math.sqrt(m)
-        if normalize_columns:
-            entries = entries / np.linalg.norm(entries, axis=0, keepdims=True)
     elif family in ("haar_real", "haar_complex"):
         U = _haar_factor(n, rng, complex_field=(family == "haar_complex"))
         entries = math.sqrt(n / m) * U[:, :m].conj().T
@@ -351,8 +351,7 @@ def construct_random(family: str, n: int, m: int, seed: int,
         C = np.cos(np.pi * np.outer(rows, 2 * i + 1) / (2 * n))
         scale = np.where(rows == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
         entries = math.sqrt(n / m) * (scale[:, None] * C)
-    return FrameMatrix(entries, family, seed=seed,
-                       params={"n": n, "m": m, "normalize_columns": bool(normalize_columns)})
+    return FrameMatrix(entries, family, seed=seed, params={"n": n, "m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +425,16 @@ def construct(family: str, **params) -> FrameMatrix:
 # ---------------------------------------------------------------------------
 # predicates and Welch bounds
 
-def gram(F: FrameMatrix | np.ndarray) -> np.ndarray:
+def gram(F: FrameMatrix) -> np.ndarray:
     """n-by-n matrix of column cross correlations c[i, j] = <f_i, f_j>."""
-    E = F.entries if isinstance(F, FrameMatrix) else np.asarray(F)
-    return E.conj().T @ E
+    return F.entries.conj().T @ F.entries
 
 
-def is_tight(F: FrameMatrix | np.ndarray, tol: float = 1e-9) -> bool:
-    """Max-entry test of F F' = (n/m) I."""
-    E = F.entries if isinstance(F, FrameMatrix) else np.asarray(F)
-    m, n = E.shape
-    R = E @ E.conj().T - (n / m) * np.eye(m)
-    return float(np.abs(R).max()) <= tol
+def is_tight(F: FrameMatrix) -> bool:
+    """Max-entry test of F F' = (n/m) I, to within TOL."""
+    E = F.entries
+    R = E @ E.conj().T - (F.n / F.m) * np.eye(F.m)
+    return float(np.abs(R).max()) <= TOL
 
 
 def welch_rms_bound(n: int, m: int) -> float:
@@ -453,18 +450,16 @@ def welch_value(n: int, m: int) -> float:
     return math.sqrt(welch_rms_bound(n, m))
 
 
-def is_equiangular(F: FrameMatrix | np.ndarray, tol: float = 1e-9) -> bool:
-    """True when every off-diagonal |c_ij| equals the Welch value within tol."""
-    G = gram(F)
-    n = G.shape[0]
+def is_equiangular(F: FrameMatrix) -> bool:
+    """True when every off-diagonal |c_ij| equals the Welch value within TOL."""
+    n = F.n
     if n < 2:
         return True
-    m = (F.entries if isinstance(F, FrameMatrix) else np.asarray(F)).shape[0]
-    off = np.abs(G[~np.eye(n, dtype=bool)])
-    return float(np.abs(off - welch_value(n, m)).max()) <= tol
+    off = np.abs(gram(F)[~np.eye(n, dtype=bool)])
+    return float(np.abs(off - welch_value(n, F.m)).max()) <= TOL
 
 
-def coherence(F: FrameMatrix | np.ndarray) -> float:
+def coherence(F: FrameMatrix) -> float:
     """Largest off-diagonal |c_ij|."""
     G = np.abs(gram(F))
     np.fill_diagonal(G, 0.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manova import ManovaDistribution, ManovaParams
+from .manova import ManovaDistribution, ManovaParams, inverse_moment_amplification
 from .spectra import ZERO_CLAMP, SubsetSpectrum
 
 __all__ = ["FunctionalSpec", "evaluate", "limiting_value", "KINDS"]
@@ -41,7 +41,7 @@ class FunctionalSpec:
             raise ValueError("shannon needs alpha >= 0")
 
 
-def evaluate(spec: FunctionalSpec, spectrum: SubsetSpectrum | np.ndarray) -> float:
+def evaluate(spec: FunctionalSpec, spectrum: SubsetSpectrum) -> float:
     """Apply the functional to one spectrum.
 
     The AC ratio uses the r = min(k, m) nonzero eigenvalues; a (near-)zero
@@ -49,12 +49,7 @@ def evaluate(spec: FunctionalSpec, spectrum: SubsetSpectrum | np.ndarray) -> flo
     transform normalizes by k, so structurally zero eigenvalues of wide
     subsets contribute nothing.
     """
-    if isinstance(spectrum, SubsetSpectrum):
-        ev = spectrum.eigenvalues
-        k = spectrum.k
-    else:
-        ev = np.asarray(spectrum, dtype=float)
-        k = len(ev)
+    ev = spectrum.eigenvalues
     if len(ev) == 0:
         raise ValueError("empty spectrum")
     kind = spec.kind
@@ -67,7 +62,7 @@ def evaluate(spec: FunctionalSpec, spectrum: SubsetSpectrum | np.ndarray) -> flo
             return math.inf
         return float(np.mean(1.0 / ev) * np.mean(ev))
     if kind == "shannon":
-        return float(np.sum(np.log2(1.0 + spec.alpha * ev)) / k)
+        return float(np.sum(np.log2(1.0 + spec.alpha * ev)) / spectrum.k)
     if kind == "max":
         return float(ev.max())
     if kind == "min":
@@ -82,8 +77,12 @@ def evaluate(spec: FunctionalSpec, spectrum: SubsetSpectrum | np.ndarray) -> flo
 def limiting_value(spec: FunctionalSpec, params: ManovaParams) -> float:
     """Limit of the functional under the MANOVA(beta, gamma) law; gamma = 0
     is Marchenko-Pastur(beta)."""
-    law = ManovaDistribution(params)
     kind = spec.kind
+    if kind == "ac":
+        if params.beta >= 1.0:
+            raise ValueError("AC limit needs beta < 1 (mass at zero otherwise)")
+        return inverse_moment_amplification(params.beta, params.p)
+    law = ManovaDistribution(params)
     if kind in ("rip", "strip", "max", "min", "cond"):
         locations = [a.location for a in law.atoms]
         lo = min([law.edges.r_minus] + locations)
@@ -96,10 +95,6 @@ def limiting_value(spec: FunctionalSpec, params: ManovaParams) -> float:
             return math.inf if lo == 0.0 else hi / lo
         rip = max(hi - 1.0, 1.0 - lo)
         return rip if kind == "rip" else (1.0 if rip <= spec.delta else 0.0)
-    if kind == "ac":
-        if params.beta >= 1.0:
-            raise ValueError("AC limit needs beta < 1 (mass at zero otherwise)")
-        return law.moment(-1) * law.moment(1)
     if kind == "shannon":
         return law.integrate(lambda x: np.log2(1.0 + spec.alpha * x))
     raise AssertionError(kind)

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,7 +110,10 @@ def _batch(family, sizes, beta, gamma, trials, seed, statistic, name, baseline=F
     """One record per ladder size the family realizes (undefined sizes skip)
     and, with ``baseline``, one MANOVA-ensemble record at each such rung's
     (n, m, k) and field, drawn from the same per-trial streams.  A family
-    that is neither a frame family nor an ensemble raises before any rung."""
+    that is neither a frame family nor an ensemble, or fewer than 2 trials,
+    raises before any rung."""
+    if trials < 2:
+        raise ValueError("variance statistics need trials >= 2")
     if family not in ENSEMBLE_FAMILIES and family not in fr.FAMILIES:
         raise fr.FrameParameterError(f"unknown frame family {family!r}")
     records, base, skipped = [], [], []
@@ -129,7 +132,7 @@ def _batch(family, sizes, beta, gamma, trials, seed, statistic, name, baseline=F
         except fr.FrameParameterError as exc:
             skipped.append((size, str(exc)))
             continue
-        params = ManovaParams.from_counts(n, m, k, field=field_tag)
+        params = ManovaParams.from_counts(n, m, k)
         stat = statistic(params, ManovaDistribution(params))
         runs = [(source, family, records)]
         if baseline:
@@ -159,8 +162,6 @@ def run_ks_batch(family: str, sizes, beta: float, gamma: float, trials: int,
     sizes the family cannot realize.  ``family`` may be any frame family or
     manova_ensemble / manova_ensemble_real, drawn at resolve_dims.
     """
-    if trials < 2:
-        raise ValueError("variance statistics need trials >= 2")
     records, _, skipped = _batch(family, sizes, beta, gamma, trials, seed, _ks, "ks")
     return records, skipped
 
@@ -175,8 +176,6 @@ def run_ladder(family: str, sizes, beta: float, gamma: float, trials: int,
     (n, m, k) and field, from the same per-trial streams; an ensemble
     family is its own baseline.  Returns (records, baseline, skipped).
     """
-    if trials < 2:
-        raise ValueError("variance statistics need trials >= 2")
     if functional is None:
         statistic, name = _ks, "ks"
     else:
@@ -206,7 +205,8 @@ class FitResult:
 def fit_power_law(records, model: str = "test1") -> FitResult:
     """Exponent fit over a size ladder: OLS on log n of -0.5 log(var of KS
     distance) for test1, the variance decay exponent, or of -log(mean
-    squared functional deviation) for test2, one side's power exponent."""
+    squared functional deviation) for test2, one side's power exponent.
+    The stderr is sqrt(RSS / (N - 2) / Sxx)."""
     if len(records) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} ladder points")
     x = np.log(np.array([r.n for r in records], dtype=float))
@@ -216,14 +216,23 @@ def fit_power_law(records, model: str = "test1") -> FitResult:
         y = -_log_means(records, records[0].frame_family)
     else:
         raise ValueError(f"model must be test1|test2; got {model!r}")
-    A = np.column_stack([np.ones(len(y)), x])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    cov = float(resid @ resid) / (len(y) - 2) * np.linalg.inv(A.T @ A)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else 1.0
-    return FitResult(float(coef[1]), float(coef[0]), math.sqrt(cov[1, 1]), r2,
-                     tuple(resid), len(records))
+    fit = _line_fit(x, y, np.ones(len(y)))
+    rss = sum(e * e for e in fit.residuals)
+    return replace(fit, stderr=fit.stderr * math.sqrt(rss / (len(y) - 2)))
+
+
+def _line_fit(x, y, w) -> FitResult:
+    """Least squares of y on x with weights w.  The stderr 1/sqrt(Sxx) takes
+    w as inverse variances; the residuals are weighted, so their squares
+    sum to chi^2."""
+    xbar, ybar = np.average(x, weights=w), np.average(y, weights=w)
+    sxx = float(np.sum(w * (x - xbar) ** 2))
+    slope = float(np.sum(w * (x - xbar) * (y - ybar))) / sxx
+    intercept = float(ybar - slope * xbar)
+    resid = np.sqrt(w) * (y - intercept - slope * x)
+    chi2, tss = float(resid @ resid), float(np.sum(w * (y - ybar) ** 2))
+    return FitResult(slope, intercept, 1.0 / math.sqrt(sxx), 1.0 - chi2 / tss if tss > 0 else 1.0,
+                     tuple(float(e) for e in resid), len(x))
 
 
 def _log_means(records, side: str) -> np.ndarray:
@@ -252,17 +261,9 @@ def fit_log_ratio(records, baseline) -> tuple[FitResult, float]:
     if not np.all(v > 0.0):
         raise ValueError(f"frame and baseline variances at n={records[np.argmin(v)].n} "
                          "are both 0")
-    w, x = 1.0 / v, np.log(np.array([r.n for r in records], dtype=float))
-    xbar, ybar = np.average(x, weights=w), np.average(y, weights=w)
-    sxx = float(np.sum(w * (x - xbar) ** 2))
-    slope = float(np.sum(w * (x - xbar) * (y - ybar))) / sxx
-    intercept = float(ybar - slope * xbar)
-    resid = np.sqrt(w) * (y - intercept - slope * x)
-    chi2, tss = float(resid @ resid), float(np.sum(w * (y - ybar) ** 2))
-    fit = FitResult(slope, intercept, 1.0 / math.sqrt(sxx), 1.0 - chi2 / tss if tss > 0 else 1.0,
-                    tuple(float(e) for e in resid), len(records))
+    fit = _line_fit(np.log(np.array([r.n for r in records], dtype=float)), y, 1.0 / v)
     from scipy import special  # on use, so that importing the package skips it
-    return fit, float(2.0 * special.ndtr(-abs(slope * math.sqrt(sxx))))
+    return fit, float(2.0 * special.ndtr(-abs(fit.slope / fit.stderr)))
 
 
 def t_test_equal_slopes(fit_a: FitResult, fit_b: FitResult) -> float:

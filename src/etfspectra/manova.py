@@ -61,15 +61,12 @@ class ManovaParams:
 
     beta: float
     gamma: float
-    field: str = "complex"
 
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError(f"beta must be positive; got {self.beta}")
         if not 0 <= self.gamma <= 1:
             raise ValueError(f"gamma must be in [0, 1]; got {self.gamma}")
-        if self.field not in ("real", "complex"):
-            raise ValueError(f"field must be 'real' or 'complex'; got {self.field!r}")
         if not self.p <= 1 + 1e-12:
             raise ValueError(f"p = beta*gamma = {self.p} exceeds 1")
 
@@ -78,8 +75,8 @@ class ManovaParams:
         return self.beta * self.gamma
 
     @classmethod
-    def from_counts(cls, n: int, m: int, k: int, field: str = "complex") -> "ManovaParams":
-        return cls(beta=k / m, gamma=m / n, field=field)
+    def from_counts(cls, n: int, m: int, k: int) -> "ManovaParams":
+        return cls(beta=k / m, gamma=m / n)
 
 
 def support_edges(params: ManovaParams) -> SupportEdges:

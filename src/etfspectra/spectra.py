@@ -21,7 +21,6 @@ from .frames import FrameMatrix
 from .rng import derive_rng
 
 __all__ = [
-    "SubsetSelection",
     "SubsetSpectrum",
     "select",
     "subset_gram_spectrum",
@@ -35,56 +34,30 @@ __all__ = [
 ZERO_CLAMP = 1e-10
 
 
-@dataclass(frozen=True)
-class SubsetSelection:
-    """A sorted subset of distinct indices of {0..n-1}, as ``select`` draws it."""
-
-    indices: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise ValueError("indices out of range")
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-
-def select(n: int, mode: str, seed=None, k: int | None = None,
-           p: float | None = None) -> SubsetSelection:
-    """Draw a subset of {0..n-1}: a uniform k-subset or Bernoulli(p) marks.
-
-    ``seed`` may be an integer or a numpy Generator.
-    """
-    n = int(n)
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
+def select(n: int, mode: str, rng: np.random.Generator, k: int | None = None,
+           p: float | None = None) -> np.ndarray:
+    """Sorted int64 indices of a subset of {0..n-1}: a uniform k-subset or
+    Bernoulli(p) marks."""
     if mode == "uniform_k":
         if k is None or not 0 <= k <= n:
             raise ValueError(f"uniform_k needs 0 <= k <= n; got k={k}")
-        idx = np.sort(rng.permutation(n)[:k])
-        return SubsetSelection(idx, n)
+        return np.sort(rng.permutation(n)[:k])
     if mode == "bernoulli":
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError(f"bernoulli needs 0 <= p <= 1; got p={p}")
-        idx = np.nonzero(rng.random(n) < p)[0]
-        return SubsetSelection(idx, n)
+        return np.nonzero(rng.random(n) < p)[0]
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
 @dataclass(frozen=True)
 class SubsetSpectrum:
-    """Ascending nonzero eigenvalues of a subset Gram with (n, m, k) context.
+    """Ascending nonzero eigenvalues of a subset Gram with (m, k) context.
 
     r = min(k, m) values; eigenvalues below the clamp are stored as 0 and
     counted in ``clamped``.
     """
 
     eigenvalues: np.ndarray
-    n: int
     m: int
     k: int
     clamped: int = 0
@@ -106,14 +79,13 @@ def _clamp(ev: np.ndarray) -> tuple[np.ndarray, int]:
     return np.where(ev < ZERO_CLAMP, 0.0, ev), n_clamped
 
 
-def subset_gram_spectrum(F: FrameMatrix, sel: SubsetSelection | np.ndarray) -> SubsetSpectrum:
-    """Eigenvalues of the Gram of the selected columns, ascending.
+def subset_gram_spectrum(F: FrameMatrix, idx: np.ndarray) -> SubsetSpectrum:
+    """Eigenvalues of the Gram of the columns ``idx``, ascending.
 
     The Gram is one rank-k update (``herk`` for complex frames, ``syrk`` for
     real ones) that fills only the lower triangle, which is all
     ``eigvalsh`` reads.
     """
-    idx = sel.indices if isinstance(sel, SubsetSelection) else np.asarray(sel, dtype=np.int64)
     if len(idx) == 0:
         raise ValueError("empty subset")
     A = np.asfortranarray(F.entries[:, idx])
@@ -122,10 +94,10 @@ def subset_gram_spectrum(F: FrameMatrix, sel: SubsetSelection | np.ndarray) -> S
     G = rank_k_update(1.0, A, trans=2 if k <= m else 0, lower=1)  # A'A or AA'
     ev = np.linalg.eigvalsh(G)
     ev, n_clamped = _clamp(ev)
-    return SubsetSpectrum(ev, F.n, m, k, clamped=n_clamped)
+    return SubsetSpectrum(ev, m, k, clamped=n_clamped)
 
 
-def ks_distance(spec, reference_cdf, jump_points=()) -> float:
+def ks_distance(spec: SubsetSpectrum, reference_cdf, jump_points=()) -> float:
     """Sup distance between the sample's empirical CDF and a reference CDF.
 
     Exact at the sample jump points: both one-sided deviations are taken at
@@ -135,8 +107,7 @@ def ks_distance(spec, reference_cdf, jump_points=()) -> float:
     ManovaDistribution.cdf); pass the reference's own jump locations in
     ``jump_points`` when it has point masses.
     """
-    vals = spec.eigenvalues if isinstance(spec, SubsetSpectrum) else np.asarray(spec, dtype=float)
-    vals = np.sort(vals)
+    vals = spec.eigenvalues
     r = len(vals)
     if r == 0:
         raise ValueError("empty spectrum")
@@ -154,8 +125,8 @@ def ks_distance(spec, reference_cdf, jump_points=()) -> float:
     return d
 
 
-def sample_manova_ensemble(n: int, m: int, k: int, field: str = "complex",
-                           seed=None) -> SubsetSpectrum:
+def sample_manova_ensemble(n: int, m: int, k: int, field: str,
+                           rng: np.random.Generator) -> SubsetSpectrum:
     """One spectrum draw from the MANOVA(n, m, k) matrix ensemble.
 
     For k <= m these are the eigenvalues of
@@ -182,7 +153,6 @@ def sample_manova_ensemble(n: int, m: int, k: int, field: str = "complex",
         raise ValueError(f"need 1 <= k, m <= n; got n={n}, m={m}, k={k}")
     if field not in ("real", "complex"):
         raise ValueError(f"field must be 'real' or 'complex'; got {field!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
     r, c = (k, m) if k <= m else (m, k)
     d = n - c  # AA' is r x r of rank w
     w = min(r, d)
@@ -212,7 +182,7 @@ def sample_manova_ensemble(n: int, m: int, k: int, field: str = "complex",
     if k > m:
         ev = ev * (k / m)
     ev, n_clamped = _clamp(np.sort(ev))
-    return SubsetSpectrum(ev, n, m, k, clamped=n_clamped)
+    return SubsetSpectrum(ev, m, k, clamped=n_clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +224,10 @@ def run_trials(source, trials: int, statistic, seed=None, path=(),
         mode = "uniform_k" if p is None else "bernoulli"
 
         def draw(rng):
-            sel = select(F.n, mode, rng, k=k, p=p)
-            if sel.k == 0:
-                return SubsetSpectrum(np.empty(0), F.n, F.m, 0)
-            return subset_gram_spectrum(F, sel)
+            idx = select(F.n, mode, rng, k=k, p=p)
+            if len(idx) == 0:
+                return SubsetSpectrum(np.empty(0), F.m, 0)
+            return subset_gram_spectrum(F, idx)
     else:
         n, m, field_tag = source
         if k is None:

@@ -6,7 +6,8 @@ quantity the package computes another way: the cycle contraction behind
 ``manova.inverse_moment_amplification``, the MANOVA CDF and integrals
 against the MANOVA law by adaptive quadrature, an empirical CDF for
 ``spectra.ks_distance``, and the dense MANOVA-ensemble sampler behind
-``spectra.sample_manova_ensemble``.
+``spectra.sample_manova_ensemble``.  Two builders of test inputs close the
+file: a spectrum holding given values and a unit-norm Gaussian frame.
 """
 
 import itertools
@@ -14,6 +15,9 @@ import math
 
 import numpy as np
 from scipy import integrate, linalg
+
+from etfspectra import frames as fr
+from etfspectra import spectra as sp
 
 
 # ---------------------------------------------------------------------------
@@ -207,3 +211,20 @@ def dense_manova_ensemble(n: int, m: int, k: int, field: str, rng) -> np.ndarray
     SS = 0.5 * (SS + SS.conj().T)
     ev = np.clip(linalg.eigh(BB, SS, eigvals_only=True, driver="gvd"), 0.0, 1.0) * (n / c)
     return np.sort(ev * (k / m) if k > m else ev)
+
+
+# ---------------------------------------------------------------------------
+# test inputs
+
+def spectrum(values) -> sp.SubsetSpectrum:
+    """A spectrum holding the given values in ascending order, with
+    k = m = the number of values."""
+    values = np.sort(np.asarray(values, dtype=float))
+    return sp.SubsetSpectrum(values, len(values), len(values))
+
+
+def unit_norm_gaussian(n: int, m: int, seed: int) -> fr.FrameMatrix:
+    """The gaussian_iid frame with each column scaled to unit norm."""
+    E = fr.construct_random("gaussian_iid", n, m, seed=seed).entries
+    return fr.FrameMatrix(E / np.linalg.norm(E, axis=0, keepdims=True), "gaussian_iid",
+                          seed=seed, params={"n": n, "m": m})

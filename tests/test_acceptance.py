@@ -54,13 +54,13 @@ def test_criterion_1_etf_structural_validity():
     bad = []
     for n in (7, 11, 19, 23, 31, 43, 103):
         F = fr.construct_dss(n)
-        if not (fr.is_tight(F, 1e-9) and fr.is_equiangular(F, 1e-9)):
+        if not (fr.is_tight(F) and fr.is_equiangular(F)):
             bad.append(f"dss({n})")
     for q in (5, 13, 17):
         F = fr.construct_real_paley(q)
-        if not (fr.is_tight(F, 1e-9) and fr.is_equiangular(F, 1e-9)):
+        if not (fr.is_tight(F) and fr.is_equiangular(F)):
             bad.append(f"real_paley({q})")
-    budget.finish(not bad, f"tight+equiangular at 1e-9 for 7 DSS + 3 Paley frames"
+    budget.finish(not bad, f"tight+equiangular at {fr.TOL:g} for 7 DSS + 3 Paley frames"
                            f"{'; failed: ' + ', '.join(bad) if bad else ''}")
 
 

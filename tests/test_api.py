@@ -4,8 +4,10 @@ importing the package must not pull in scipy subpackages it does not use."""
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -59,6 +61,31 @@ def test_child_references_resolve():
                                       if isinstance(node, ast.Attribute))))
     assert {"etfspectra.harness.run_ks_batch", "etfspectra.coding.empirical_ahmr"} <= refs
     assert not [ref for ref in sorted(refs) if not _resolves(ref)]
+
+
+def test_child_calls_bind():
+    # each etfspectra.<module>.<name>(...) call binds to the current
+    # signature with its positional count and keyword names, so narrowing a
+    # signature the benchmark calls fails here rather than in a benchmark run
+    calls = []
+    for fn in ast.walk(ast.parse((PERFBENCH / "child.py").read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            modules = {a.asname or a.name: a.name for node in ast.walk(fn)
+                       if isinstance(node, ast.ImportFrom) and node.module == "etfspectra"
+                       for a in node.names}
+            calls += [(dotted, node) for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      for dotted in [_dotted(node.func, modules)] if dotted]
+    assert len(calls) > 20
+    unbound = []
+    for dotted, call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args), dotted
+        assert all(kw.arg is not None for kw in call.keywords), dotted
+        try:
+            inspect.signature(pkgutil.resolve_name(dotted)).bind(
+                *call.args, **{kw.arg: None for kw in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"{dotted} (line {call.lineno}): {exc}")
+    assert not unbound
 
 
 # public names no code outside tests uses yet, each with the reason it stays

@@ -332,7 +332,7 @@ def test_harness_bad_paths_exit_before_any_rung(tmp_path, monkeypatch, cmd, bad)
 def test_harness_one_trial_exits_before_any_rung(tmp_path, monkeypatch, cmd):
     from etfspectra import harness
 
-    monkeypatch.setattr(harness, "_batch", _no_ladder)
+    monkeypatch.setattr(harness, "resolve_dims", _no_ladder)  # each rung's first step
     out = tmp_path / "t.csv"
     with pytest.raises(SystemExit) as exc:
         main(["harness", cmd, "--sizes", "32,64,128,256", "--trials", "1", "--out", str(out)])

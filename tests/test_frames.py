@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etfspectra import frames as fr
+from oracles import unit_norm_gaussian
 
 
 def brute_force_gram(F):
@@ -71,7 +72,7 @@ class TestRandomSpectrum:
 
     def test_tight_and_unit_norm(self):
         F = fr.construct_random_spectrum_dft(101, 50, seed=1)
-        assert fr.is_tight(F, 1e-9)
+        assert fr.is_tight(F)
         assert np.abs(np.linalg.norm(F.entries, axis=0) - 1.0).max() < 1e-12
 
 
@@ -86,7 +87,7 @@ class TestPaleyAndGrassmannian:
     def test_real_paley_q13(self):
         F = fr.construct_real_paley(13)
         assert (F.m, F.n) == (7, 14)
-        assert fr.is_tight(F, 1e-9)
+        assert fr.is_tight(F)
 
     def test_real_paley_rejects_nonprime(self):
         with pytest.raises(fr.FrameParameterError):
@@ -95,15 +96,15 @@ class TestPaleyAndGrassmannian:
     @pytest.mark.parametrize("q", [7, 11, 19])
     def test_complex_paley_predicates(self, q):
         F = fr.construct_complex_paley(q)
-        assert fr.is_tight(F, 1e-9)
-        assert fr.is_equiangular(F, 1e-9)
+        assert fr.is_tight(F)
+        assert fr.is_equiangular(F)
 
     @pytest.mark.parametrize("n", [8, 12, 24])
     def test_grassmannian_predicates(self, n):
         F = fr.construct_grassmannian(n)
         assert (F.m, F.n) == (n // 2, n)
-        assert fr.is_tight(F, 1e-9)
-        assert fr.is_equiangular(F, 1e-9)
+        assert fr.is_tight(F)
+        assert fr.is_equiangular(F)
 
     def test_unsupported_sizes(self):
         with pytest.raises(fr.FrameParameterError):
@@ -116,8 +117,8 @@ class TestAlltop:
     def test_tight_not_equiangular(self):
         F = fr.construct_alltop(7, 2)
         assert (F.m, F.n) == (7, 14)
-        assert fr.is_tight(F, 1e-9)
-        assert not fr.is_equiangular(F, 1e-9)
+        assert fr.is_tight(F)
+        assert not fr.is_equiangular(F)
 
     def test_unit_norm_columns(self):
         F = fr.construct_alltop(11, 4)
@@ -163,10 +164,6 @@ class TestRandomFamilies:
         assert np.quantile(dev, 0.99) < 0.1
         assert dev.mean() < 0.05
 
-    def test_gaussian_normalize_flag(self):
-        F = fr.construct_random("gaussian_iid", 50, 20, seed=3, normalize_columns=True)
-        assert np.abs(np.linalg.norm(F.entries, axis=0) - 1.0).max() < 1e-12
-
     @pytest.mark.parametrize("family", fr.RANDOM_FAMILIES)
     def test_same_seed_identical(self, family):
         a = fr.construct_random(family, 40, 20, seed=11)
@@ -177,7 +174,7 @@ class TestRandomFamilies:
                                         "random_cosine"])
     def test_orthogonal_families_tight(self, family):
         F = fr.construct(family, n=48, m=24, seed=5)
-        assert fr.is_tight(F, 1e-9)
+        assert fr.is_tight(F)
 
 
 class TestWelchBounds:
@@ -195,7 +192,7 @@ class TestWelchBounds:
     @settings(max_examples=25, deadline=None)
     def test_welch_inequality_random_frames(self, m, seed):
         n = 2 * m
-        F = fr.construct_random("gaussian_iid", n, m, seed=seed, normalize_columns=True)
+        F = unit_norm_gaussian(n, m, seed)
         G = np.abs(fr.gram(F)) ** 2
         mean_off = (G.sum() - np.trace(G)) / (n * (n - 1))
         assert mean_off >= fr.welch_rms_bound(n, m) - 1e-12

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from etfspectra import spectra as sp
 from etfspectra.functionals import FunctionalSpec, evaluate, limiting_value
-from etfspectra.manova import ManovaParams, support_edges
+from etfspectra.manova import (ManovaDistribution, ManovaParams, inverse_moment_amplification,
+                               support_edges)
 from etfspectra.rng import derive_rng
+from oracles import spectrum
 
 AC = FunctionalSpec("ac")
 RIP = FunctionalSpec("rip")
@@ -16,34 +18,34 @@ RIP = FunctionalSpec("rip")
 
 class TestEvaluate:
     def test_identity_gram(self):
-        ones = np.ones(5)
+        ones = spectrum(np.ones(5))
         assert evaluate(RIP, ones) == 0.0
         assert evaluate(AC, ones) == pytest.approx(1.0)
         assert evaluate(FunctionalSpec("cond"), ones) == pytest.approx(1.0)
 
     def test_ac_hand_arithmetic(self):
         # (mean of 1/x) * (mean of x) on {0.5, 1.5}: ((2 + 2/3)/2) * 1 = 4/3
-        assert evaluate(AC, np.array([0.5, 1.5])) == pytest.approx(4 / 3, abs=1e-14)
+        assert evaluate(AC, spectrum([0.5, 1.5])) == pytest.approx(4 / 3, abs=1e-14)
 
     def test_shannon_alpha_zero(self):
         spec = FunctionalSpec("shannon", alpha=0.0)
-        assert evaluate(spec, np.array([0.4, 1.2, 2.0])) == 0.0
+        assert evaluate(spec, spectrum([0.4, 1.2, 2.0])) == 0.0
 
     def test_shannon_identity_value(self):
         spec = FunctionalSpec("shannon", alpha=3.0)
-        assert evaluate(spec, np.ones(4)) == pytest.approx(math.log2(4.0))
+        assert evaluate(spec, spectrum(np.ones(4))) == pytest.approx(math.log2(4.0))
 
     def test_ac_zero_eigenvalue_diverges(self):
-        assert evaluate(AC, np.array([0.0, 1.0])) == math.inf
+        assert evaluate(AC, spectrum([0.0, 1.0])) == math.inf
 
     def test_rip_strip(self):
-        vals = np.array([0.7, 1.2])
+        vals = spectrum([0.7, 1.2])
         assert evaluate(RIP, vals) == pytest.approx(0.3)
         assert evaluate(FunctionalSpec("strip", delta=0.31), vals) == 1.0
         assert evaluate(FunctionalSpec("strip", delta=0.29), vals) == 0.0
 
     def test_max_min(self):
-        vals = np.array([0.7, 1.2])
+        vals = spectrum([0.7, 1.2])
         assert evaluate(FunctionalSpec("max"), vals) == 1.2
         assert evaluate(FunctionalSpec("min"), vals) == pytest.approx(0.7)
 
@@ -60,7 +62,7 @@ class TestEvaluate:
     def test_ac_at_least_one(self, vals):
         # arithmetic-harmonic mean inequality; equality iff constant
         vals = np.array(vals)
-        ac = evaluate(AC, vals)
+        ac = evaluate(AC, spectrum(vals))
         assert ac >= 1.0 - 1e-12
         if vals.max() - vals.min() > 1e-6 * vals.max():
             assert ac > 1.0
@@ -70,7 +72,7 @@ class TestEvaluate:
     @settings(max_examples=60, deadline=None)
     def test_shannon_monotone_in_alpha(self, vals, a1, a2):
         lo, hi = sorted([a1, a2])
-        vals = np.array(vals)
+        vals = spectrum(vals)
         v_lo = evaluate(FunctionalSpec("shannon", alpha=lo), vals)
         v_hi = evaluate(FunctionalSpec("shannon", alpha=hi), vals)
         assert v_hi >= v_lo - 1e-12
@@ -79,6 +81,16 @@ class TestEvaluate:
 class TestLimitingValue:
     def test_ac_limit_is_amplification(self):
         assert limiting_value(AC, ManovaParams(0.8, 0.5)) == pytest.approx(3.0, abs=1e-8)
+
+    @pytest.mark.parametrize("beta, gamma", [(0.8, 0.5), (0.8, 0.0), (0.25, 0.4), (0.5, 0.9),
+                                             (0.9, 0.7), (0.6, 0.25), (0.95, 0.1)])
+    def test_ac_limit_is_closed_form(self, beta, gamma):
+        # gamma = 0 is Marchenko-Pastur; (0.5, 0.9) and (0.9, 0.7) have p + gamma > 1
+        params = ManovaParams(beta, gamma)
+        limit = limiting_value(AC, params)
+        assert limit == inverse_moment_amplification(beta, params.p)
+        law = ManovaDistribution(params)  # oracle: both moments by quadrature
+        assert limit == pytest.approx(law.moment(-1) * law.moment(1), rel=1e-14)
 
     def test_rip_limit_edge_formula(self):
         params = ManovaParams(0.8, 0.5)

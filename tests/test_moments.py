@@ -10,7 +10,7 @@ from etfspectra import frames as fr
 from etfspectra import moments as mo
 from etfspectra.manova import ManovaParams, manova_moment_numeric
 from oracles import (catalan, contract_cycle, is_noncrossing, narayana,
-                     tuple_expected_moment)
+                     tuple_expected_moment, unit_norm_gaussian)
 
 
 def all_set_partitions(elements):
@@ -190,7 +190,7 @@ class TestExactExpectedMoment:
 
     def test_a32_is_three_a22(self):
         for F in [fr.construct_dss(7), fr.construct_lowpass_dft(8, 4),
-                  fr.construct_random("gaussian_iid", 9, 4, seed=0, normalize_columns=True)]:
+                  unit_norm_gaussian(9, 4, seed=0)]:
             p2 = mo.exact_expected_moment(F, 2)
             p3 = mo.exact_expected_moment(F, 3)
             assert p3.a[2] == pytest.approx(3 * p2.a[2], abs=1e-10)
@@ -234,7 +234,7 @@ class TestExactExpectedMoment:
     @pytest.mark.parametrize("F", [
         fr.construct_dss(7), fr.construct_dss(31), fr.construct_real_paley(13),
         fr.construct_lowpass_dft(8, 4),
-        fr.construct_random("gaussian_iid", 9, 4, seed=0, normalize_columns=True),
+        unit_norm_gaussian(9, 4, seed=0),
     ], ids=["dss7", "dss31", "paley13", "lowpass8", "gaussian9"])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_equals_tuple_oracle(self, F, d):
@@ -244,7 +244,7 @@ class TestExactExpectedMoment:
 
     @pytest.mark.parametrize("F", [
         fr.construct_dss(7), fr.construct_dss(11), fr.construct_lowpass_dft(8, 4),
-        fr.construct_random("gaussian_iid", 9, 4, seed=0, normalize_columns=True),
+        unit_norm_gaussian(9, 4, seed=0),
     ], ids=["dss7", "dss11", "lowpass8", "gaussian9"])
     @pytest.mark.parametrize("d", [5, 6, 7, 8])
     def test_high_orders_equal_all_subsets_oracle(self, F, d):
