@@ -202,7 +202,7 @@ class FitResult:
     n_points: int
 
 
-def fit_power_law(records, model: str = "test1") -> FitResult:
+def fit_power_law(records, model: str) -> FitResult:
     """Exponent fit over a size ladder: OLS on log n of -0.5 log(var of KS
     distance) for test1, the variance decay exponent, or of -log(mean
     squared functional deviation) for test2, one side's power exponent.
@@ -291,15 +291,13 @@ _CSV_COLUMNS = ("frame_family", "n", "m", "k", "beta", "gamma", "trials",
                 "statistic", "seed", "mean", "variance", "mean_square")
 
 
-def _config_hash(config) -> str:
-    blob = json.dumps(config, sort_keys=True) if not isinstance(config, str) else config
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+def _config_hash(config: dict) -> str:
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _record_row(r: ExperimentRecord) -> list:
     return [r.frame_family, r.n, r.m, r.k, repr(r.beta), repr(r.gamma),
-            r.trials, r.statistic, r.seed, repr(r.mean),
-            repr(r.variance) if r.trials > 1 else "",
+            r.trials, r.statistic, r.seed, repr(r.mean), repr(r.variance),
             repr(r.mean_square)]
 
 
@@ -311,7 +309,7 @@ def write_csv(path: str, header: str, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def export(records, fmt: str, path: str, config=None) -> None:
+def export(records, fmt: str, path: str, config: dict) -> None:
     """Write records as a csv aggregate table; ``fmt`` must be "csv".
 
     Output bytes are a pure function of records and config: wall times are
@@ -319,7 +317,7 @@ def export(records, fmt: str, path: str, config=None) -> None:
     """
     if fmt != "csv":
         raise ValueError(f"format must be csv; got {fmt!r}")
-    header = f"etfspectra-export v{EXPORT_VERSION} config_sha256={_config_hash(config or {})}"
+    header = f"etfspectra-export v{EXPORT_VERSION} config_sha256={_config_hash(config)}"
     write_csv(path, header, [_CSV_COLUMNS, *map(_record_row, records)])
 
 

@@ -277,7 +277,7 @@ class TestExport:
 
     def test_csv_schema(self, tmp_path):
         path = tmp_path / "out.csv"
-        hs.export(self._records(), "csv", path, config="key = 1")
+        hs.export(self._records(), "csv", path, config={"key": 1})
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# etfspectra-export v1 config_sha256=")
         assert lines[1].split(",")[:4] == ["frame_family", "n", "m", "k"]
