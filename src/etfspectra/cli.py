@@ -34,20 +34,6 @@ from .functionals import KINDS, FunctionalSpec, evaluate
 from .spectra import run_trials
 
 
-# ---------------------------------------------------------------------------
-
-def _one_line_errors(cmd):
-    """Report a bad argument or a file that cannot be read or written as
-    one ``<group> <cmd>: <reason>`` line on stderr, with exit status 1."""
-    def run(args):
-        try:
-            cmd(args)
-        except (OSError, ValueError, OverflowError) as exc:
-            raise SystemExit(f"{args.group} {args.cmd}: {exc}") from None
-    return run
-
-
-@_one_line_errors
 def _cmd_frames_construct(args):
     params = {}
     for key in ("n", "m", "q", "chirps", "seed"):
@@ -62,7 +48,6 @@ def _cmd_frames_construct(args):
           f"tight={tight} equiangular={equi} -> {args.out}")
 
 
-@_one_line_errors
 def _cmd_spectra_sample(args):
     F = frameio.load_frame(args.frame)
     spectra = run_trials(F, args.trials, lambda spec: spec.eigenvalues, args.seed, k=args.k)
@@ -73,7 +58,6 @@ def _cmd_spectra_sample(args):
     print(f"wrote {len(rows)} eigenvalues -> {args.out}")
 
 
-@_one_line_errors
 def _cmd_manova_density(args):
     params = manova.ManovaParams(args.beta, args.gamma)
     dist = manova.ManovaDistribution(params)
@@ -93,7 +77,6 @@ def _cmd_manova_density(args):
     print(f"wrote {args.grid} grid points -> {args.out} (atoms in {sidecar})")
 
 
-@_one_line_errors
 def _cmd_functional_eval(args):
     F = frameio.load_frame(args.frame)
     spec = FunctionalSpec(args.kind, delta=args.delta, alpha=args.alpha)
@@ -105,7 +88,6 @@ def _cmd_functional_eval(args):
     print(f"wrote {args.trials} evaluations -> {args.out}")
 
 
-@_one_line_errors
 def _cmd_moments_asymptotic(args):
     poly = moments.asymptotic_moment(args.d)
     if args.format == "latex":
@@ -115,7 +97,6 @@ def _cmd_moments_asymptotic(args):
                          sort_keys=True, indent=2))
 
 
-@_one_line_errors
 def _cmd_moments_ewb(args):
     val = moments.ewb_bound(args.gamma, args.p, args.d, args.n)
     print(json.dumps({"gamma": args.gamma, "p": args.p, "d": args.d, "n": args.n,
@@ -126,7 +107,6 @@ def _cmd_moments_ewb(args):
                      sort_keys=True))
 
 
-@_one_line_errors
 def _cmd_moments_exact(args):
     F = frameio.load_frame(args.frame)
     poly = moments.exact_expected_moment(F, args.d)
@@ -143,7 +123,6 @@ def _parse_range(spec: str):
     return np.arange(lo, hi + 0.5 * step, step)
 
 
-@_one_line_errors
 def _cmd_coding_curve(args):
     if args.beta is None and not args.optimize_beta:
         raise ValueError("give --beta or --optimize-beta")
@@ -218,7 +197,6 @@ def _require_rungs(cmd, count, skipped=()):
     raise SystemExit(f"harness {cmd}: {why}; the fit needs at least {harness.MIN_FIT_POINTS}")
 
 
-@_one_line_errors
 def _cmd_harness(args):
     """test1 compares the KS-variance slopes of the family's ladder and of
     the ensemble baseline at the same rungs; test2 tests the weighted slope
@@ -355,8 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A bad argument or a file that cannot be read or
+    written ends it with one ``<group> <cmd>: <reason>`` line on stderr and
+    exit status 1."""
     args = build_parser().parse_args(argv)
-    args.fn(args)
+    try:
+        args.fn(args)
+    except (OSError, ValueError, OverflowError) as exc:
+        raise SystemExit(f"{args.group} {args.cmd}: {exc}") from None
     return 0
 
 

@@ -120,20 +120,16 @@ def is_prime(n: int) -> bool:
 
 
 def _quadratic_residues(n: int) -> np.ndarray:
-    r = np.unique(np.mod(np.arange(1, n) ** 2, n))
-    return np.sort(r)
-
-
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+    """The nonzero squares mod n, ascending."""
+    return np.unique(np.mod(np.arange(1, n) ** 2, n))
 
 
 def _jacobsthal(q: int) -> np.ndarray:
-    """q-by-q matrix Q with Q[i, j] = legendre(i - j, q)."""
-    chi = np.array([_legendre(a, q) for a in range(q)], dtype=float)
+    """q-by-q matrix Q with Q[i, j] = legendre(i - j, q): 0 at i = j, +1 when
+    i - j is a nonzero square mod q, -1 otherwise."""
+    chi = -np.ones(q)
+    chi[0] = 0.0
+    chi[_quadratic_residues(q)] = 1.0
     idx = np.subtract.outer(np.arange(q), np.arange(q)) % q
     return chi[idx]
 

@@ -133,7 +133,7 @@ def _batch(family, sizes, beta, gamma, trials, seed, statistic, name, baseline=F
             skipped.append((size, str(exc)))
             continue
         params = ManovaParams.from_counts(n, m, k)
-        stat = statistic(params, ManovaDistribution(params))
+        stat = statistic(ManovaDistribution(params))
         runs = [(source, family, records)]
         if baseline:
             label = "manova_ensemble" if field_tag == "complex" else "manova_ensemble_real"
@@ -149,9 +149,8 @@ def _batch(family, sizes, beta, gamma, trials, seed, statistic, name, baseline=F
     return records, base, skipped
 
 
-def _ks(params, ref):
-    jumps = [a.location for a in ref.atoms]
-    return lambda spec: ks_distance(spec, ref.cdf, jump_points=jumps)
+def _ks(law):
+    return lambda spec: ks_distance(spec, law.cdf)
 
 
 def run_ks_batch(family: str, sizes, beta: float, gamma: float, trials: int,
@@ -179,8 +178,8 @@ def run_ladder(family: str, sizes, beta: float, gamma: float, trials: int,
     if functional is None:
         statistic, name = _ks, "ks"
     else:
-        def statistic(params, ref):
-            limit = limiting_value(functional, params)
+        def statistic(law):
+            limit = limiting_value(functional, law.params)
             return lambda spec: (evaluate(functional, spec) - limit) ** 2
         name = f"psi_{functional.kind}_sq_dev"
     own = family in ENSEMBLE_FAMILIES
@@ -206,14 +205,15 @@ def fit_power_law(records, model: str) -> FitResult:
     """Exponent fit over a size ladder: OLS on log n of -0.5 log(var of KS
     distance) for test1, the variance decay exponent, or of -log(mean
     squared functional deviation) for test2, one side's power exponent.
-    The stderr is sqrt(RSS / (N - 2) / Sxx)."""
+    The stderr is sqrt(RSS / (N - 2) / Sxx).  A rung whose variance (test1)
+    or mean (test2) is 0 or not finite raises ValueError naming it."""
     if len(records) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} ladder points")
     x = np.log(np.array([r.n for r in records], dtype=float))
     if model == "test1":
-        y = -0.5 * np.log(np.array([r.variance for r in records]))
+        y = -0.5 * _logs(records, records[0].frame_family, "variance")
     elif model == "test2":
-        y = -_log_means(records, records[0].frame_family)
+        y = -_logs(records, records[0].frame_family, "mean")
     else:
         raise ValueError(f"model must be test1|test2; got {model!r}")
     fit = _line_fit(x, y, np.ones(len(y)))
@@ -235,12 +235,14 @@ def _line_fit(x, y, w) -> FitResult:
                      tuple(float(e) for e in resid), len(x))
 
 
-def _log_means(records, side: str) -> np.ndarray:
-    """log of each rung's mean; a mean that is 0 or not finite raises."""
-    for r in records:
-        if not (math.isfinite(r.mean) and r.mean > 0.0):
-            raise ValueError(f"the {side} mean at n={r.n} is {r.mean!r}; its log is undefined")
-    return np.log([r.mean for r in records])
+def _logs(records, side: str, stat: str) -> np.ndarray:
+    """log of each rung's ``stat`` (mean or variance); a value that is 0 or
+    not finite raises, naming the rung."""
+    vals = [getattr(r, stat) for r in records]
+    for r, v in zip(records, vals):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"the {side} {stat} at n={r.n} is {v!r}; its log is undefined")
+    return np.log(vals)
 
 
 def fit_log_ratio(records, baseline) -> tuple[FitResult, float]:
@@ -255,7 +257,7 @@ def fit_log_ratio(records, baseline) -> tuple[FitResult, float]:
         raise ValueError(f"need at least {MIN_FIT_POINTS} ladder points")
     if [(r.n, r.m, r.k) for r in records] != [(r.n, r.m, r.k) for r in baseline]:
         raise ValueError("frame and baseline rungs differ in (n, m, k)")
-    y = _log_means(records, "frame") - _log_means(baseline, "baseline")
+    y = _logs(records, "frame", "mean") - _logs(baseline, "baseline", "mean")
     v = sum(np.array([r.variance / (r.trials * r.mean ** 2) for r in side])
             for side in (records, baseline))
     if not np.all(v > 0.0):

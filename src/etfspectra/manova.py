@@ -34,9 +34,6 @@ __all__ = [
     "ManovaParams",
     "SupportEdges",
     "Atom",
-    "support_edges",
-    "manova_density",
-    "manova_atoms",
     "ManovaDistribution",
     "manova_moment_numeric",
     "manova_moment_closed",
@@ -79,51 +76,6 @@ class ManovaParams:
         return cls(beta=k / m, gamma=m / n)
 
 
-def support_edges(params: ManovaParams) -> SupportEdges:
-    b, g = params.beta, params.gamma
-    s = math.sqrt(b * (1.0 - g))
-    t = math.sqrt(max(1.0 - b * g, 0.0))  # p = b g may pass 1 by rounding (k = n)
-    return SupportEdges((s - t) ** 2, (s + t) ** 2)
-
-
-def manova_atoms(params: ManovaParams) -> tuple[Atom, ...]:
-    """Point masses of the beta-normalized law (total mass 1 with the
-    continuous part)."""
-    b, g = params.beta, params.gamma
-    atoms = []
-    if b > 1.0:
-        atoms.append(Atom(0.0, 1.0 - 1.0 / b))
-    if params.p + g > 1.0:
-        atoms.append(Atom(1.0 / g, 1.0 + 1.0 / b - 1.0 / (b * g)))
-    return tuple(atoms)
-
-
-def manova_density(x, params: ManovaParams):
-    """Continuous part of the MANOVA(beta, gamma) law; zero off support,
-    and at the point masses, which manova_atoms lists."""
-    edges = support_edges(params)
-    b, g = params.beta, params.gamma
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = (x > edges.r_minus) & (x < edges.r_plus)
-    xi = x[inside]
-    out[inside] = (np.sqrt((xi - edges.r_minus) * (edges.r_plus - xi))
-                   / (2.0 * b * np.pi * xi * (1.0 - g * xi)))
-    return float(out) if out.ndim == 0 else out
-
-
-def _top_gap(params: ManovaParams) -> float:
-    """delta+ = 1 - gamma r+ = (sqrt((1-gamma)(1-p)) - sqrt(gamma p))^2, the
-    gap between 1 and gamma times the top edge, in a form that does not
-    cancel; exactly 0 when p + gamma = 1 within rounding, where r+ sits on
-    the density's 1/gamma pole."""
-    g, p = params.gamma, params.p
-    excess = 1.0 - p - g
-    if abs(excess) <= 4.0 * np.finfo(float).eps:
-        return 0.0
-    return (excess / (math.sqrt(max((1.0 - g) * (1.0 - p), 0.0)) + math.sqrt(g * p))) ** 2
-
-
 class ManovaDistribution:
     """MANOVA(beta, gamma) law: support edges, point masses and the
     edge-substituted continuous part.  gamma = 0 is Marchenko-Pastur(beta).
@@ -140,13 +92,27 @@ class ManovaDistribution:
 
     def __init__(self, params: ManovaParams):
         self.params = params
-        self.edges = support_edges(params)
-        self.atoms = manova_atoms(params)
-        self._mass0 = sum(a.mass for a in self.atoms if a.location == 0.0)
-        self._mass_top = sum(a.mass for a in self.atoms if a.location > 0.0)
+        b, g, p = params.beta, params.gamma, params.p
+        s = math.sqrt(b * (1.0 - g))
+        t = math.sqrt(max(1.0 - p, 0.0))  # p may pass 1 by rounding (k = n)
+        self.edges = SupportEdges((s - t) ** 2, (s + t) ** 2)
+        # point masses, which with the continuous part have total mass 1
+        atoms = []
+        if b > 1.0:
+            atoms.append(Atom(0.0, 1.0 - 1.0 / b))
+        if p + g > 1.0:
+            atoms.append(Atom(1.0 / g, 1.0 + 1.0 / b - 1.0 / p))
+        self.atoms = tuple(atoms)
+        self._mass0 = sum(a.mass for a in atoms if a.location == 0.0)
+        self._mass_top = sum(a.mass for a in atoms if a.location > 0.0)
         # at gamma = 1 or p = 1 the edges meet and the law is its atoms alone
         self._continuous = self.edges.r_plus > self.edges.r_minus
-        self._delta_plus = _top_gap(params)
+        # delta+ = 1 - gamma r+ = (sqrt((1-gamma)(1-p)) - sqrt(gamma p))^2, the gap
+        # between 1 and gamma r+ in a form that does not cancel; exactly 0 when
+        # p + gamma = 1 within rounding, where r+ sits on the density's 1/gamma pole
+        excess = 1.0 - p - g
+        self._delta_plus = 0.0 if abs(excess) <= 4.0 * np.finfo(float).eps else (
+            excess / (math.sqrt(max((1.0 - g) * (1.0 - p), 0.0)) + math.sqrt(g * p))) ** 2
 
     def _x_of(self, th):
         span = self.edges.r_plus - self.edges.r_minus
@@ -216,7 +182,16 @@ class ManovaDistribution:
             f"{self._RTOL:g} with {n} nodes; last two estimates {float(prev)!r}, {float(est)!r}")
 
     def pdf(self, x):
-        return manova_density(x, self.params)
+        """Continuous part of the law; zero off the support and at the point
+        masses, which ``atoms`` lists."""
+        lo, hi = self.edges
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        inside = (x > lo) & (x < hi)
+        xi = x[inside]
+        out[inside] = (np.sqrt((xi - lo) * (hi - xi))
+                       / (2.0 * self.params.beta * np.pi * xi * (1.0 - self.params.gamma * xi)))
+        return float(out) if out.ndim == 0 else out
 
     def _continuous_cdf(self, x):
         """Mass of the continuous part below x, in closed form.

@@ -293,10 +293,7 @@ class SubsetMomentPolynomial:
     a: tuple  # a[k] for k = 0..d; a[0] = 0, a[1] = 1 for unit-norm frames
 
     def evaluate(self, p: float) -> float:
-        acc = 0.0
-        for c in reversed(self.a):
-            acc = acc * p + c
-        return acc
+        return _poly_eval(self.a, p)
 
 
 def _set_partitions(d: int) -> list:

@@ -97,15 +97,16 @@ def subset_gram_spectrum(F: FrameMatrix, idx: np.ndarray) -> SubsetSpectrum:
     return SubsetSpectrum(ev, m, k, clamped=n_clamped)
 
 
-def ks_distance(spec: SubsetSpectrum, reference_cdf, jump_points=()) -> float:
+def ks_distance(spec: SubsetSpectrum, reference_cdf) -> float:
     """Sup distance between the sample's empirical CDF and a reference CDF.
 
-    Exact at the sample jump points: both one-sided deviations are taken at
-    every sorted eigenvalue, with the reference's left limit obtained at the
-    previous representable float (so step references are handled exactly).
-    ``reference_cdf`` is any callable accepting an array (e.g.
-    ManovaDistribution.cdf); pass the reference's own jump locations in
-    ``jump_points`` when it has point masses.
+    Exact for any nondecreasing reference, atoms and tied values included:
+    at each sorted eigenvalue v the empirical CDF's own counts, of values
+    <= v and of values < v, meet the reference at v and at its left limit,
+    taken at the previous representable float.  Between two samples the
+    empirical CDF is flat, so a jump of the reference inside the gap never
+    beats the gap's endpoints.  ``reference_cdf`` is any callable accepting
+    an array (e.g. ManovaDistribution.cdf).
     """
     vals = spec.eigenvalues
     r = len(vals)
@@ -113,16 +114,9 @@ def ks_distance(spec: SubsetSpectrum, reference_cdf, jump_points=()) -> float:
         raise ValueError("empty spectrum")
     ref = np.asarray(reference_cdf(vals), dtype=float)
     ref_left = np.asarray(reference_cdf(np.nextafter(vals, -np.inf)), dtype=float)
-    hi = np.arange(1, r + 1) / r
-    lo = np.arange(0, r) / r
-    d = max(float(np.max(np.abs(ref - hi))), float(np.max(np.abs(ref_left - lo))))
-    for x in jump_points:
-        emp = float(np.searchsorted(vals, x, side="right")) / r
-        emp_left = float(np.searchsorted(vals, np.nextafter(x, -np.inf), side="right")) / r
-        d = max(d,
-                abs(float(reference_cdf(x)) - emp),
-                abs(float(reference_cdf(np.nextafter(x, -np.inf))) - emp_left))
-    return d
+    hi = np.searchsorted(vals, vals, "right") / r
+    lo = np.searchsorted(vals, vals, "left") / r
+    return max(float(np.max(np.abs(ref - hi))), float(np.max(np.abs(ref_left - lo))))
 
 
 def sample_manova_ensemble(n: int, m: int, k: int, field: str,

@@ -175,6 +175,18 @@ def test_harness_test2_degenerate_rung_is_one_line(tmp_path):
     assert exc.value.code == "harness test2: the frame mean at n=32 is 0.0; its log is undefined"
 
 
+def test_harness_test1_zero_variance_is_one_line(tmp_path):
+    # at m = n every ensemble value and the law sit on the atom at 1, so
+    # every KS distance is 0 and the log of its variance is undefined
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["harness", "test1", "--family", "manova_ensemble", "--gamma", "1.0",
+                  "--sizes", "100,200,400", "--trials", "5", "--out", str(tmp_path / "t.csv")])
+    assert exc.value.code == ("harness test1: the manova_ensemble variance at n=100 is 0.0; "
+                              "its log is undefined")
+
+
 @pytest.mark.parametrize("cmd,sizes,need", [("test1", "103,211", 3),
                                             ("test2", "32,64", 3),
                                             ("test1", "103,103,211", 3)])

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from etfspectra import spectra as sp
 from etfspectra.functionals import FunctionalSpec, evaluate, limiting_value
-from etfspectra.manova import (ManovaDistribution, ManovaParams, inverse_moment_amplification,
-                               support_edges)
+from etfspectra.manova import ManovaDistribution, ManovaParams, inverse_moment_amplification
 from etfspectra.rng import derive_rng
 from oracles import spectrum
 
@@ -94,13 +93,13 @@ class TestLimitingValue:
 
     def test_rip_limit_edge_formula(self):
         params = ManovaParams(0.8, 0.5)
-        e = support_edges(params)
+        e = ManovaDistribution(params).edges
         assert limiting_value(RIP, params) == pytest.approx(
             max(e.r_plus - 1, 1 - e.r_minus), abs=1e-14)
 
     def test_max_min_cond(self):
         params = ManovaParams(0.8, 0.5)
-        e = support_edges(params)
+        e = ManovaDistribution(params).edges
         assert limiting_value(FunctionalSpec("max"), params) == pytest.approx(e.r_plus)
         assert limiting_value(FunctionalSpec("min"), params) == pytest.approx(e.r_minus)
         assert limiting_value(FunctionalSpec("cond"), params) == pytest.approx(

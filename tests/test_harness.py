@@ -13,7 +13,7 @@ from etfspectra import harness as hs
 from etfspectra import moments as mo
 from etfspectra import spectra as sp
 from etfspectra.functionals import FunctionalSpec
-from etfspectra.manova import ManovaParams, support_edges
+from etfspectra.manova import ManovaDistribution, ManovaParams
 from etfspectra.rng import derive_rng
 
 
@@ -39,6 +39,13 @@ class TestFits:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             hs.fit_power_law(synthetic_records([100, 200], 0.9, 1.0), "test1")
+
+    @pytest.mark.parametrize("values,shown", [((0.1, 0.1), "0.0"), ((0.1, math.nan), "nan")])
+    def test_degenerate_variance_names_the_rung(self, values, shown):
+        recs = synthetic_records([100, 200, 400], 0.9, 1.0)
+        recs[1] = replace(recs[1], values=values)
+        with pytest.raises(ValueError, match=f"the synthetic variance at n=200 is {shown};"):
+            hs.fit_power_law(recs, "test1")
 
 
 def ratio_ladder(ns, b_frame, b_base, a, eps):
@@ -252,7 +259,7 @@ class TestEdgeConvergence:
     def test_dss_extreme_eigenvalues_near_support_edges(self):
         F = fr.construct_dss(503)
         m, k = 251, round(0.8 * 251)
-        edges = support_edges(ManovaParams.from_counts(503, m, k))
+        edges = ManovaDistribution(ManovaParams.from_counts(503, m, k)).edges
         rng = derive_rng(9)
         lo, hi = [], []
         for _ in range(200):

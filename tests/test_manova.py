@@ -37,7 +37,7 @@ def rho_gamma_p(t, gamma, p):
 
 class TestDensity:
     def test_edges_plugin(self):
-        e = mv.support_edges(mv.ManovaParams(0.8, 0.5))
+        e = mv.ManovaDistribution(mv.ManovaParams(0.8, 0.5)).edges
         assert e.r_minus == pytest.approx((math.sqrt(0.4) - math.sqrt(0.6)) ** 2, abs=1e-15)
         assert e.r_plus == pytest.approx((math.sqrt(0.4) + math.sqrt(0.6)) ** 2, abs=1e-15)
 
@@ -49,47 +49,44 @@ class TestDensity:
     def test_mass_check_by_plain_quadrature(self):
         # independent oracle: integrate the raw density formula without the
         # trigonometric substitution
-        params = mv.ManovaParams(0.8, 0.5)
-        lo, hi = mv.support_edges(params)
-        val, _ = integrate.quad(lambda x: mv.manova_density(x, params), lo, hi,
-                                limit=400)
+        law = mv.ManovaDistribution(mv.ManovaParams(0.8, 0.5))
+        val, _ = integrate.quad(law.pdf, *law.edges, limit=400)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_mp_limit_small_gamma(self):
         # the gap to MP = MANOVA(beta, 0) shrinks linearly in gamma (~1.5e-4
         # per 1e-3 of gamma in the bulk at beta = 0.8)
-        mp = mv.ManovaParams(0.8, 0.0)
-        assert mv.manova_density(0.8, mv.ManovaParams(0.8, 1e-3)) == pytest.approx(
-            mv.manova_density(0.8, mp), abs=1e-4)
+        mp, g1, g2 = (mv.ManovaDistribution(mv.ManovaParams(0.8, g)).pdf
+                      for g in (0.0, 1e-3, 2.5e-4))
+        assert g1(0.8) == pytest.approx(mp(0.8), abs=1e-4)
         for x in [0.3, 0.8, 1.2, 1.8, 2.5]:
-            gap_1 = abs(mv.manova_density(x, mv.ManovaParams(0.8, 1e-3))
-                        - mv.manova_density(x, mp))
-            gap_2 = abs(mv.manova_density(x, mv.ManovaParams(0.8, 2.5e-4))
-                        - mv.manova_density(x, mp))
+            gap_1 = abs(g1(x) - mp(x))
+            gap_2 = abs(g2(x) - mp(x))
             assert gap_2 < 5e-5
             assert gap_2 == pytest.approx(gap_1 / 4, rel=0.05)
 
     def test_atom_for_beta_above_one(self):
-        atoms = mv.manova_atoms(mv.ManovaParams(1.5, 0.5))
+        atoms = mv.ManovaDistribution(mv.ManovaParams(1.5, 0.5)).atoms
         assert atoms[0] == mv.Atom(0.0, pytest.approx(1 - 1 / 1.5))
 
     def test_top_atom_mass(self):
-        atoms = mv.manova_atoms(mv.ManovaParams(0.9, 0.9))
+        atoms = mv.ManovaDistribution(mv.ManovaParams(0.9, 0.9)).atoms
         (atom,) = atoms
         assert atom.location == pytest.approx(1 / 0.9)
         assert atom.mass == pytest.approx(1 + 1 / 0.9 - 1 / 0.81, abs=1e-12)
 
     def test_density_at_an_atom_is_the_continuous_part(self):
-        assert mv.manova_density(0.0, mv.ManovaParams(1.5, 0.5)) == 0.0
-        assert mv.manova_density(1 / 0.9, mv.ManovaParams(0.9, 0.9)) == 0.0
+        assert mv.ManovaDistribution(mv.ManovaParams(1.5, 0.5)).pdf(0.0) == 0.0
+        assert mv.ManovaDistribution(mv.ManovaParams(0.9, 0.9)).pdf(1 / 0.9) == 0.0
 
     def test_gamma_p_parameterization_matches_pointwise(self):
         for beta, gamma in [(0.8, 0.5), (1.6, 0.5), (0.6, 0.25)]:
             params = mv.ManovaParams(beta, gamma)
+            law = mv.ManovaDistribution(params)
             p = params.p
             scale = max(1.0, beta)  # stripped-zero renormalization
-            for t in np.linspace(*mv.support_edges(params), 17)[1:-1]:
-                assert scale * mv.manova_density(t, params) == pytest.approx(
+            for t in np.linspace(*law.edges, 17)[1:-1]:
+                assert scale * law.pdf(t) == pytest.approx(
                     rho_gamma_p(t, gamma, p), abs=1e-10)
 
 
@@ -170,12 +167,12 @@ class TestMarchenkoPastur:
         assert mp.moment(0) == pytest.approx(1.0, abs=1e-8)
 
     def test_edges(self):
-        lo, hi = mv.support_edges(mv.ManovaParams(0.8, 0.0))
+        lo, hi = mv.ManovaDistribution(mv.ManovaParams(0.8, 0.0)).edges
         assert lo == pytest.approx((1 - math.sqrt(0.8)) ** 2)
         assert hi == pytest.approx((1 + math.sqrt(0.8)) ** 2)
 
     def test_degenerate_limit_concentrates(self):
-        lo, hi = mv.support_edges(mv.ManovaParams(1e-6, 0.0))
+        lo, hi = mv.ManovaDistribution(mv.ManovaParams(1e-6, 0.0)).edges
         assert lo == pytest.approx(1.0, abs=3e-3)
         assert hi == pytest.approx(1.0, abs=3e-3)
 

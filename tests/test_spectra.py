@@ -132,20 +132,30 @@ class TestKsDistance:
         d = sp.ks_distance(spectrum([0.5]), lambda x: np.clip(x, 0, 1))
         assert d == pytest.approx(0.5, abs=1e-12)
 
+    def test_tied_values_on_an_atom(self):
+        # the step CDF 0 -> 0.9 at 1 -> 1 at 2: on [1, 2) the sample's CDF
+        # is 1 and the reference 0.9
+        def step(x):
+            return np.where(x >= 2.0, 1.0, np.where(x >= 1.0, 0.9, 0.0))
+        assert sp.ks_distance(spectrum([1.0, 1.0]), step) == pytest.approx(0.1, abs=1e-15)
+
     def test_against_dense_grid_oracle(self):
-        params = ManovaParams(0.8, 0.5)
-        dist = ManovaDistribution(params)
-        spec = sp.sample_manova_ensemble(200, 100, 80, "complex", derive_rng(5))
-        d_fast = sp.ks_distance(spec, dist.cdf)
-        # oracle: sup of |F_emp - F_ref| over a 1e5 grid refined with the
-        # empirical jump locations and their left neighbors
-        grid = np.linspace(dist.edges.r_minus - 0.1, dist.edges.r_plus + 0.1, 100_000)
-        grid = np.concatenate([grid, spec.eigenvalues,
-                               np.nextafter(spec.eigenvalues, -np.inf)])
-        emp = empirical_cdf(spec)
-        d_grid = np.max(np.abs(emp(grid) - dist.cdf(grid)))
-        assert d_fast >= d_grid - 1e-12  # grid never exceeds the exact sup
-        assert d_fast == pytest.approx(d_grid, abs=1e-6)
+        # (200, 100, 80) has no atom; (60, 45, 36) puts 21 tied values on the
+        # top atom at 4/3, and at m = n every value is 1, the law's one atom
+        for n, m, k in [(200, 100, 80), (60, 45, 36), (40, 40, 20)]:
+            dist = ManovaDistribution(ManovaParams.from_counts(n, m, k))
+            spec = sp.sample_manova_ensemble(n, m, k, "complex", derive_rng(5))
+            d_fast = sp.ks_distance(spec, dist.cdf)
+            # oracle: sup of |F_emp - F_ref| over a 1e5 grid refined with the
+            # empirical jump locations, the atoms and their left neighbors
+            jumps = np.concatenate([spec.eigenvalues, [a.location for a in dist.atoms]])
+            grid = np.concatenate([
+                np.linspace(dist.edges.r_minus - 0.1, dist.edges.r_plus + 0.1, 100_000),
+                jumps, np.nextafter(jumps, -np.inf)])
+            emp = empirical_cdf(spec)
+            d_grid = np.max(np.abs(emp(grid) - dist.cdf(grid)))
+            assert d_fast >= d_grid - 1e-12  # grid never exceeds the exact sup
+            assert d_fast == pytest.approx(d_grid, abs=1e-6)
 
 
 # two-sample KS comparison of ensemble samplers; draws, seeds and level
