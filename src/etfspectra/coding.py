@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import FrameMatrix
-from .functionals import FunctionalSpec, evaluate
 from .manova import inverse_moment_amplification
-from .spectra import ZERO_CLAMP, run_trials, subset_gram_spectrum
+from .spectra import run_trials, subset_gram_traces
 
 __all__ = [
     "AmplificationModel",
@@ -61,12 +60,18 @@ def _as_model(model) -> AmplificationModel:
     return model if isinstance(model, AmplificationModel) else AmplificationModel(str(model))
 
 
-_AC = FunctionalSpec("ac")
+def _ahmr(traces) -> float:
+    trace, inverse_trace, r = traces
+    return (inverse_trace / r) * (trace / r)
 
 
 def empirical_ahmr(F: FrameMatrix, k: int, trials: int, seed=None) -> float:
-    """Monte Carlo arithmetic-to-harmonic means ratio of subset spectra."""
-    return float(np.mean(run_trials(F, trials, lambda spec: evaluate(_AC, spec), seed, k=k)))
+    """Monte Carlo arithmetic-to-harmonic means ratio of uniform k-subset
+    Grams from their traces (``spectra.subset_gram_traces``): inf for a
+    rank-deficient trial, as the functional "ac" gives on the spectrum."""
+    if k < 1:
+        raise ValueError(f"need k >= 1; got k={k}")
+    return float(np.mean(run_trials(F, trials, _ahmr, seed, k=k, measure=subset_gram_traces)))
 
 
 def amplification(model, beta: float, p: float) -> float:
@@ -74,7 +79,7 @@ def amplification(model, beta: float, p: float) -> float:
 
     MP is the MANOVA law at p = 0 (i.i.d. frames forget the ambient
     ratio); the empirical model draws k = round(beta * m) columns of its
-    frame.
+    frame, so it takes beta up to n/m.
     """
     model = _as_model(model)
     if beta == 1.0:
@@ -83,8 +88,10 @@ def amplification(model, beta: float, p: float) -> float:
         return inverse_moment_amplification(beta, 0.0)
     if model.kind == "manova":
         return inverse_moment_amplification(beta, p)
-    k = int(round(beta * model.frame.m))
-    return empirical_ahmr(model.frame, k, model.trials, model.seed)
+    F = model.frame
+    if beta > F.n / F.m:
+        raise ValueError(f"beta={beta} exceeds n/m = {F.n / F.m}, the most columns the frame has")
+    return empirical_ahmr(F, int(round(beta * F.m)), model.trials, model.seed)
 
 
 def rdf(p: float, y: float) -> float:
@@ -146,7 +153,8 @@ def optimize_beta(direction: str, p: float, y: float, model):
     capacity by golden section to width 1e-6 (the objective is smooth and
     empirically unimodal).  The source search spans beta in [p + 1e-4,
     1 - 1e-4], which is empty from p = 0.9998 on; the channel search spans
-    beta up to max(10, p / 1e-4), i.e. gamma down to 1e-4.  Both need p in
+    beta up to max(10, p / 1e-4), i.e. gamma down to 1e-4, and for an
+    empirical model no further than its frame's n/m.  Both need p in
     [0, 1].  Returns (beta_opt, optimum value); when the objective is 0 for
     every beta (p = 0, a source SDR of 1 or a channel SNR of 0) no beta is
     optimal, and it returns (nan, 0.0)."""
@@ -156,6 +164,9 @@ def optimize_beta(direction: str, p: float, y: float, model):
         objective = lambda b: rate_sc(b, p, y, model)
     elif direction == "channel":
         lo, hi = 1.0 + 1e-6, max(10.0, p / 1e-4)
+        model = _as_model(model)
+        if model.kind == "empirical":
+            hi = min(hi, model.frame.n / model.frame.m)
         objective = lambda b: -capacity_cc(b, p, y, model)
     else:
         raise ValueError(f"direction must be source|channel; got {direction!r}")
@@ -207,32 +218,29 @@ class MlieResult:
     divergent: int
 
 
-def _inverse_energy(spec) -> float:
-    ev = spec.eigenvalues
-    if ev.min() < ZERO_CLAMP:
-        return math.inf
-    return float(np.sum(1.0 / ev)) / spec.m
-
-
 def mlie(F: FrameMatrix, k: int, mode: str = "exact", trials: int = 1000,
          seed=None) -> MlieResult:
     """Average over k-subsets of (m/n)(1/2) log2 of the inverse energy
     (1/m) tr(Gram^-1).
 
     ``exact`` enumerates all C(n, k) patterns (guarded to 10^6);
-    ``montecarlo`` samples.  Rank-deficient patterns are excluded from the
-    mean and counted as divergent.
+    ``montecarlo`` samples.  Each pattern reads tr(Gram^-1) from
+    ``spectra.subset_gram_traces``: a certified Cholesky inverse, else the
+    spectrum, which is inf where the spectrum clamps a value.  Those
+    rank-deficient patterns are excluded from the mean and counted as
+    divergent.
     """
     n, m = F.n, F.m
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n; got k={k}")
+    inverse_energy = lambda traces: traces[1] / m
     if mode == "exact":
         if math.comb(n, k) > 10 ** 6:
             raise ValueError("too many patterns for exact mode")
-        etas = [_inverse_energy(subset_gram_spectrum(F, idx))
+        etas = [inverse_energy(subset_gram_traces(F, idx))
                 for idx in itertools.combinations(range(n), k)]
     elif mode == "montecarlo":
-        etas = run_trials(F, trials, _inverse_energy, seed, k=k)
+        etas = run_trials(F, trials, inverse_energy, seed, k=k, measure=subset_gram_traces)
     else:
         raise ValueError(f"mode must be exact|montecarlo; got {mode!r}")
     finite = [e for e in etas if math.isfinite(e)]

@@ -9,6 +9,7 @@ spectrum, so the stored spectrum always has r = min(k, m) entries.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ __all__ = [
     "SubsetSpectrum",
     "select",
     "subset_gram_spectrum",
+    "subset_gram_traces",
     "ks_distance",
     "sample_manova_ensemble",
     "run_trials",
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 ZERO_CLAMP = 1e-10
+INVERSE_TRACE_CERTIFIED = 0.01 / ZERO_CLAMP  # tr G^-1 at most this: lambda_min >= 100 ZERO_CLAMP
 
 
 def select(n: int, mode: str, rng: np.random.Generator, k: int | None = None,
@@ -79,22 +82,48 @@ def _clamp(ev: np.ndarray) -> tuple[np.ndarray, int]:
     return np.where(ev < ZERO_CLAMP, 0.0, ev), n_clamped
 
 
-def subset_gram_spectrum(F: FrameMatrix, idx: np.ndarray) -> SubsetSpectrum:
-    """Eigenvalues of the Gram of the columns ``idx``, ascending.
-
-    The Gram is one rank-k update (``herk`` for complex frames, ``syrk`` for
-    real ones) that fills only the lower triangle, which is all
-    ``eigvalsh`` reads.
-    """
+def _subset_gram(F: FrameMatrix, idx: np.ndarray):
+    """(G, m, k): the lower triangle of the Gram of the columns ``idx`` on
+    the smaller side, from one rank-k update (``herk`` for complex frames,
+    ``syrk`` for real ones)."""
     if len(idx) == 0:
         raise ValueError("empty subset")
     A = np.asfortranarray(F.entries[:, idx])
     m, k = A.shape
     rank_k_update = blas.zherk if F.is_complex else blas.dsyrk
-    G = rank_k_update(1.0, A, trans=2 if k <= m else 0, lower=1)  # A'A or AA'
-    ev = np.linalg.eigvalsh(G)
-    ev, n_clamped = _clamp(ev)
+    return rank_k_update(1.0, A, trans=2 if k <= m else 0, lower=1), m, k  # A'A or AA'
+
+
+def subset_gram_spectrum(F: FrameMatrix, idx: np.ndarray) -> SubsetSpectrum:
+    """Eigenvalues of the Gram of the columns ``idx``, ascending.
+
+    ``eigvalsh`` reads only the lower triangle that the rank-k update fills.
+    """
+    G, m, k = _subset_gram(F, idx)
+    ev, n_clamped = _clamp(np.linalg.eigvalsh(G))
     return SubsetSpectrum(ev, m, k, clamped=n_clamped)
+
+
+def subset_gram_traces(F: FrameMatrix, idx: np.ndarray) -> tuple[float, float, int]:
+    """(tr G, tr G^-1, r) of the subset Gram of ``subset_gram_spectrum``.
+
+    tr G^-1 = ||L^-1||_F^2 for the Cholesky factor L (``potrf``, ``trtri``).
+    As 1/lambda_min <= tr G^-1, a value up to INVERSE_TRACE_CERTIFIED proves
+    that the spectrum clamps no eigenvalue; any other subset returns the
+    spectrum's sums, with tr G^-1 = inf when it clamps one.
+    """
+    G, m, k = _subset_gram(F, idx)
+    trace = float(np.trace(G).real)
+    potrf, trtri = lapack.get_lapack_funcs(("potrf", "trtri"), (G,))
+    L, info = potrf(G, lower=1, overwrite_a=1)
+    if info == 0:
+        L_inv, info = trtri(L, lower=1, overwrite_c=1)
+        inverse_trace = float(np.linalg.norm(L_inv)) ** 2
+        if info == 0 and inverse_trace <= INVERSE_TRACE_CERTIFIED:
+            return trace, inverse_trace, min(m, k)
+    spec = subset_gram_spectrum(F, idx)
+    ev = spec.eigenvalues
+    return float(np.sum(ev)), math.inf if spec.clamped else float(np.sum(1.0 / ev)), spec.r
 
 
 def ks_distance(spec: SubsetSpectrum, reference_cdf) -> float:
@@ -200,32 +229,36 @@ def _map_indexed(fn, count: int) -> list:
 
 
 def run_trials(source, trials: int, statistic, seed=None, path=(),
-               k: int | None = None, p: float | None = None) -> list:
-    """``statistic(spectrum)`` for each of ``trials`` independent draws.
+               k: int | None = None, p: float | None = None, measure=None) -> list:
+    """``statistic(draw)`` for each of ``trials`` independent draws.
 
-    ``source`` is a FrameMatrix, whose draw is the Gram spectrum of a
+    ``source`` is a FrameMatrix, whose draw is ``measure(F, idx)`` of a
     uniform k-subset (give ``k``) or of Bernoulli(p) marks (give ``p``) of
-    its columns, or an ensemble spec (n, m, field), whose draw comes from
-    the MANOVA(n, m, k) matrix ensemble.  An empty selection has an empty
-    spectrum.  Trial t draws from derive_rng(seed, *path, t + 1);
-    trials run on a pool of ETFSPECTRA_THREADS threads (LAPACK releases the
-    GIL) into indexed slots, so the values do not depend on scheduling.
+    its columns, or an ensemble spec (n, m, field), whose draw is a
+    spectrum from the MANOVA(n, m, k) matrix ensemble.  The measure
+    defaults to the Gram spectrum (``subset_gram_spectrum``, looked up at
+    call time); ``subset_gram_traces`` is the one other.  An empty
+    selection has an empty spectrum.  Trial t draws from
+    derive_rng(seed, *path, t + 1); trials run on a pool of
+    ETFSPECTRA_THREADS threads (LAPACK releases the GIL) into indexed
+    slots, so the values do not depend on scheduling.
     """
     if (p is None) == (k is None):
         raise ValueError("give exactly one of p or k")
     if isinstance(source, FrameMatrix):
         F = source
         mode = "uniform_k" if p is None else "bernoulli"
+        measure = subset_gram_spectrum if measure is None else measure
 
         def draw(rng):
             idx = select(F.n, mode, rng, k=k, p=p)
-            if len(idx) == 0:
-                return SubsetSpectrum(np.empty(0), F.m, 0)
-            return subset_gram_spectrum(F, idx)
+            return measure(F, idx) if len(idx) else SubsetSpectrum(np.empty(0), F.m, 0)
     else:
         n, m, field_tag = source
         if k is None:
             raise ValueError("ensemble draws need k")
+        if measure is not None:
+            raise ValueError("an ensemble draw is a spectrum; it takes no measure")
 
         def draw(rng):
             return sample_manova_ensemble(n, m, k, field_tag, rng)

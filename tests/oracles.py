@@ -6,8 +6,9 @@ quantity the package computes another way: the cycle contraction behind
 ``manova.inverse_moment_amplification``, the MANOVA CDF and integrals
 against the MANOVA law by adaptive quadrature, an empirical CDF for
 ``spectra.ks_distance``, and the dense MANOVA-ensemble sampler behind
-``spectra.sample_manova_ensemble``.  Two builders of test inputs close the
-file: a spectrum holding given values and a unit-norm Gaussian frame.
+``spectra.sample_manova_ensemble``.  Three builders of test inputs close
+the file: a spectrum holding given values, a unit-norm Gaussian frame and
+a frame whose Gram has given eigenvalues.
 """
 
 import itertools
@@ -228,3 +229,12 @@ def unit_norm_gaussian(n: int, m: int, seed: int) -> fr.FrameMatrix:
     E = fr.construct_random("gaussian_iid", n, m, seed=seed).entries
     return fr.FrameMatrix(E / np.linalg.norm(E, axis=0, keepdims=True), "gaussian_iid",
                           seed=seed, params={"n": n, "m": m})
+
+
+def frame_with_gram_eigenvalues(ev, m: int) -> fr.FrameMatrix:
+    """A real m x n frame F = Q diag(sqrt(ev)) V' (Q with orthonormal
+    columns, V orthogonal) whose n x n Gram F'F has the eigenvalues ``ev``."""
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, len(ev))))
+    V, _ = np.linalg.qr(rng.standard_normal((len(ev), len(ev))))
+    return fr.FrameMatrix(Q @ (np.sqrt(ev)[:, None] * V.T), "synthetic")

@@ -8,7 +8,18 @@ from scipy.special import betainc
 
 from etfspectra import coding as cg
 from etfspectra import frames as fr
+from etfspectra import spectra as sp
+from etfspectra.functionals import FunctionalSpec, evaluate
 from etfspectra.rng import derive_rng
+from oracles import frame_with_gram_eigenvalues
+
+FRAMES = {
+    "dss103": lambda: fr.construct_dss(103),  # complex, m = 51
+    "real_paley101": lambda: fr.construct_real_paley(101),  # m = 51
+    "gaussian_iid": lambda: fr.construct_random("gaussian_iid", 200, 100, seed=1),
+}
+SIDES = [("dss103", 41), ("dss103", 64), ("real_paley101", 41), ("real_paley101", 64),
+         ("gaussian_iid", 80), ("gaussian_iid", 125)]
 
 
 class TestAmplification:
@@ -37,6 +48,19 @@ class TestAmplification:
         p = k / 503
         lam = cg.amplification(model, k / 251, p)
         assert lam == pytest.approx((1 - p) / (1 - k / 251), rel=0.02)
+
+    @pytest.mark.parametrize("frame, k", SIDES)
+    def test_empirical_ahmr_matches_spectrum_functional(self, frame, k):
+        # the same trials through the spectrum and the "ac" functional
+        F = FRAMES[frame]()
+        want = np.mean(sp.run_trials(F, 8, lambda s: evaluate(FunctionalSpec("ac"), s), 6, k=k))
+        assert cg.empirical_ahmr(F, k, 8, seed=6) == pytest.approx(want, rel=1e-12)
+
+    def test_empirical_rejects_beta_above_n_over_m(self):
+        model = cg.AmplificationModel("empirical", frame=fr.construct_dss(103), trials=2, seed=0)
+        assert math.isfinite(cg.amplification(model, 103 / 51, 0.4))
+        with pytest.raises(ValueError, match=r"beta=2\.1 exceeds n/m = 2\.0196"):
+            cg.amplification(model, 2.1, 0.4)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -157,6 +181,15 @@ class TestOptimizeBeta:
         assert math.isnan(beta)
         assert val == 0.0
 
+    def test_channel_search_stays_inside_an_empirical_frame(self):
+        # a frame realizes beta only up to n/m; the bracket used to run to
+        # p / 1e-4 and draw k = 77953 columns of 103
+        F = fr.construct_dss(103)
+        model = cg.AmplificationModel("empirical", frame=F, trials=4, seed=0)
+        beta, c = cg.optimize_beta("channel", 0.4, 100.0, model)
+        assert 1.0 < beta <= 103 / 51
+        assert math.isfinite(c) and c > 0.0
+
     @pytest.mark.parametrize("p", [1.5, -0.1])
     def test_channel_p_outside_unit_interval_raises(self, p):
         with pytest.raises(ValueError, match=f"no channel beta to search at p={p}"):
@@ -218,6 +251,23 @@ class TestMlie:
         res = cg.mlie(F, 4, mode="montecarlo", trials=64, seed=0)
         assert res.patterns == 64
         assert math.isfinite(res.value)
+
+    @pytest.mark.parametrize("frame, k", SIDES)
+    def test_montecarlo_matches_spectrum_inverse_energy(self, frame, k):
+        F = FRAMES[frame]()
+        etas = sp.run_trials(F, 8, lambda s: np.sum(1.0 / s.eigenvalues) / F.m, 6, k=k)
+        res = cg.mlie(F, k, "montecarlo", 8, seed=6)
+        assert res.divergent == 0
+        assert res.value == pytest.approx((F.m / F.n) * 0.5 * np.mean(np.log2(etas)), rel=1e-12)
+
+    @pytest.mark.parametrize("smallest, divergent", [(5e-10, 0), (1e-12, 1)])
+    def test_clamped_pattern_is_divergent(self, smallest, divergent):
+        # one pattern, k = n = 4; Cholesky succeeds at 1e-12 too, but the
+        # spectrum clamps that value, so the pattern is rank deficient
+        F = frame_with_gram_eigenvalues(np.array([1.0, 1.0, 1.0, smallest]), m=6)
+        res = cg.mlie(F, 4, mode="exact")
+        assert (res.patterns, res.divergent) == (1, divergent)
+        assert math.isfinite(res.value) == (divergent == 0)
 
     def test_exact_guard(self):
         F = fr.construct_random("gaussian_iid", 64, 32, seed=0)

@@ -1,5 +1,6 @@
 """Smoke test: every experiment script runs to completion on tiny inputs."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 ARGS = {
+    "bench_pairs.py": ["--help"],  # a real run takes the benchmark's minutes
     "accuracy_table.py": ["--sizes", "103", "--betas", "0.8", "--trials", "3"],
     "frame_gallery.py": [],
     "rd_curves.py": ["--db", "0:10:5"],  # 0 dB is the unit-SDR edge of rate_sc
@@ -23,3 +25,39 @@ def test_script_runs(script):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *ARGS[script]],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_pairs_summary_on_synthetic_runs():
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                  {"name": "rate", "better": "higher", "bound": 0.25},
+                  {"name": "rss", "better": "lower", "bound": 0.1}]
+    parent = [1.0, 1.1, 1.2, 0.9, 1.0]
+    runs = {
+        "parent": [{"failed": 0, "wall_s": w, "rate": 10.0, "rss": r}
+                   for w, r in zip(parent, [1.0, 1.0, 1.3, 1.0, 0.9])],
+        "change": [{"failed": f, "wall_s": 0.5 * w + (0.6 if i == 2 else 0.0), "rate": 7.0,
+                    "rss": 1.2} for i, (w, f) in enumerate(zip(parent, [0, 1, 0, 0, 2]))],
+    }
+    out = bench_pairs.summarize(runs, end_to_end, claim="wall_s")
+    assert out["failed"] == {"parent": 0, "change": 3}
+    wall = out["wall_s"]
+    # inclusive quartiles of [0.9, 1.0, 1.0, 1.1, 1.2]: 1.0, 1.0, 1.1
+    assert wall["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.1}
+    assert wall["change_wins"] == "4 of 5"  # pair 2 went 1.2 -> 1.2
+    assert wall["relative_change_of_median"] == pytest.approx(-0.5)
+    assert wall["parent_iqr_over_median"] == pytest.approx(0.1)
+    assert wall["status"] == "ok" and wall["claim_met"] is False  # 4 of 5 < 9 of 10
+    # higher is better: 10 -> 7 is 30% worse, past its 25% bound
+    assert out["rate"]["change_wins"] == "0 of 5" and out["rate"]["status"] == "worse"
+    assert "claim_met" not in out["rate"]
+    assert out["rss"]["status"] == "worse"  # +20% against a 10% bound
+    runs["change"][2]["wall_s"] = 0.5
+    assert bench_pairs.summarize(runs, end_to_end, claim="wall_s")["wall_s"]["claim_met"]
+    runs["parent"][0]["rss"] = 2.0  # parent IQR/median 0.3 > 0.1, change no longer worse
+    for row in runs["change"]:
+        row["rss"] = 1.0
+    assert bench_pairs.summarize(runs, end_to_end)["rss"]["status"] == "spread"

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import lapack
 
 from etfspectra import frames as fr
 from etfspectra import spectra as sp
 from etfspectra.manova import ManovaDistribution, ManovaParams
 from etfspectra.rng import derive_rng
-from oracles import dense_manova_ensemble, empirical_cdf, spectrum
+from oracles import dense_manova_ensemble, empirical_cdf, frame_with_gram_eigenvalues, spectrum
 
 
 class TestSelect:
@@ -92,6 +93,86 @@ class TestSubsetGramSpectrum:
         w = math.sqrt(fr.welch_rms_bound(F.n, F.m))
         spec = sp.subset_gram_spectrum(F, np.array([3, 9]))
         assert spec.eigenvalues == pytest.approx([1 - w, 1 + w], abs=1e-10)
+
+
+@pytest.fixture
+def spectrum_calls(monkeypatch):
+    """Counts the calls of sp.subset_gram_spectrum, the traces' fallback."""
+    calls = []
+    original = sp.subset_gram_spectrum
+
+    def counted(F, idx):
+        calls.append(len(idx))
+        return original(F, idx)
+
+    monkeypatch.setattr(sp, "subset_gram_spectrum", counted)
+    return calls
+
+
+def spectrum_sums(F, idx):
+    """The spectrum path's (sum lambda, sum 1/lambda or inf when clamped, r)."""
+    spec = sp.subset_gram_spectrum(F, idx)
+    inverse = math.inf if spec.clamped else float(np.sum(1.0 / spec.eigenvalues))
+    return float(np.sum(spec.eigenvalues)), inverse, spec.r
+
+
+class TestSubsetGramTraces:
+    @pytest.mark.parametrize("frame, k", [
+        ("dss103", 41), ("dss103", 64),  # complex, k < m = 51 and k > m
+        ("real_paley101", 41), ("real_paley101", 64),
+        ("gaussian_iid", 80), ("gaussian_iid", 125),
+    ])
+    def test_certified_path_matches_spectrum(self, frame, k, spectrum_calls):
+        F = {"dss103": lambda: fr.construct_dss(103),
+             "real_paley101": lambda: fr.construct_real_paley(101),
+             "gaussian_iid": lambda: fr.construct_random("gaussian_iid", 200, 100, 1)}[frame]()
+        subsets = [sp.select(F.n, "uniform_k", derive_rng(11, t), k=k) for t in range(10)]
+        got = [sp.subset_gram_traces(F, idx) for idx in subsets]
+        assert spectrum_calls == []  # every subset certified, none fell back
+        for (tr, inv, r), idx in zip(got, subsets):
+            want_tr, want_inv, want_r = spectrum_sums(F, idx)
+            assert r == want_r == min(k, F.m)
+            assert tr == pytest.approx(want_tr, rel=1e-12)
+            assert inv == pytest.approx(want_inv, rel=1e-12)
+            # the AHMR and the inverse energy that coding reads from them
+            assert (inv / r) * (tr / r) == pytest.approx(
+                (want_inv / r) * (want_tr / r), rel=1e-12)
+
+    def test_small_eigenvalue_above_the_clamp_falls_back(self, spectrum_calls):
+        # tr G^-1 = 3 + 2e9 is past the certificate, and the spectrum
+        # path keeps 5e-10 (> ZERO_CLAMP): finite, the spectrum's sums
+        F = frame_with_gram_eigenvalues(np.array([1.0, 1.0, 1.0, 5e-10]), m=6)
+        idx = np.arange(4)
+        tr, inv, r = sp.subset_gram_traces(F, idx)
+        assert spectrum_calls == [4]
+        want_tr, want_inv, want_r = spectrum_sums(F, idx)
+        assert math.isfinite(inv) and inv == pytest.approx(want_inv, rel=1e-12)
+        assert inv == pytest.approx(3.0 + 2e9, rel=1e-5)
+        assert (tr, r) == (want_tr, want_r)
+
+    def test_clamped_eigenvalue_is_inf_although_cholesky_succeeds(self):
+        F = frame_with_gram_eigenvalues(np.array([1.0, 1.0, 1.0, 1e-12]), m=6)
+        idx = np.arange(4)
+        assert lapack.dpotrf(F.entries.T @ F.entries, lower=1)[1] == 0
+        assert sp.subset_gram_spectrum(F, idx).clamped == 1
+        assert sp.subset_gram_traces(F, idx)[1] == math.inf
+
+    def test_ill_conditioned_lowpass_matches_spectrum(self):
+        F = fr.construct_lowpass_dft(211, 105)
+        finite = 0
+        for t in range(20):
+            idx = sp.select(F.n, "uniform_k", derive_rng(13, t), k=84)
+            _, inv, _ = sp.subset_gram_traces(F, idx)
+            _, want, _ = spectrum_sums(F, idx)
+            assert math.isinf(inv) == math.isinf(want)
+            if math.isfinite(want):
+                finite += 1
+                assert inv == pytest.approx(want, rel=1e-6)
+        assert finite > 0
+
+    def test_empty_subset_rejected(self):
+        with pytest.raises(ValueError):
+            sp.subset_gram_traces(fr.construct_dss(7), np.array([], dtype=np.int64))
 
 
 def naive_cdf(points, x):
@@ -302,3 +383,17 @@ class TestRunTrials:
                 sp.run_trials(F, 1, len, seed=0, **kw)
         with pytest.raises(ValueError):
             sp.run_trials((7, 3, "real"), 1, len, seed=0, p=0.5)
+
+    def test_measure(self, spectrum_calls):
+        F = fr.construct_dss(11)
+        got = sp.run_trials(F, 3, lambda x: x, seed=4, k=5, measure=sp.subset_gram_traces)
+        for t, traces in enumerate(got):
+            idx = sp.select(11, "uniform_k", derive_rng(4, t + 1), k=5)
+            assert traces == sp.subset_gram_traces(F, idx)
+        # the default measure is the module's subset_gram_spectrum at call
+        # time, so a rebound global (a tracer's wrapper) sees every trial
+        assert spectrum_calls == []
+        sp.run_trials(F, 3, lambda spec: spec.r, seed=4, k=5)
+        assert spectrum_calls == [5, 5, 5]
+        with pytest.raises(ValueError, match="no measure"):
+            sp.run_trials((11, 5, "real"), 1, len, seed=0, k=3, measure=sp.subset_gram_traces)
