@@ -1,6 +1,6 @@
-"""Subset spectra: sampling column subsets, Gram eigenvalues, KS distances,
-draws from the MANOVA(n, m, k) matrix ensemble, and the Monte Carlo trial
-engine that every estimator in the package runs on.
+"""Subset spectra: sampling column subsets, Gram eigenvalues and inverse
+traces, KS distances, draws from the MANOVA(n, m, k) matrix ensemble, and
+the Monte Carlo trial engine that every estimator in the package runs on.
 
 The Gram of a selected m-by-k subframe is formed on the smaller side
 (k-by-k when k <= m, else m-by-m); the two sides share their nonzero

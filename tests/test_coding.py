@@ -56,6 +56,10 @@ class TestAmplification:
         want = np.mean(sp.run_trials(F, 8, lambda s: evaluate(FunctionalSpec("ac"), s), 6, k=k))
         assert cg.empirical_ahmr(F, k, 8, seed=6) == pytest.approx(want, rel=1e-12)
 
+    def test_empirical_ahmr_rejects_an_empty_subset(self):
+        with pytest.raises(ValueError, match="need k >= 1; got k=0"):
+            cg.empirical_ahmr(fr.construct_dss(7), 0, 3, seed=0)
+
     def test_empirical_rejects_beta_above_n_over_m(self):
         model = cg.AmplificationModel("empirical", frame=fr.construct_dss(103), trials=2, seed=0)
         assert math.isfinite(cg.amplification(model, 103 / 51, 0.4))
