@@ -10,7 +10,8 @@ method="inclusive"), the change's wins, the parent's IQR over its median
 and a status against the metric's bound: "worse" when the change's median
 is worse by more than the bound, "spread" when the parent's IQR exceeds
 it, else "ok".  Every run's metrics are kept, with each side's run record
-(versions, BLAS build, thread settings).
+(versions, BLAS build, thread settings).  The change is HEAD, every
+workload of BENCHMARK.json runs, and a run has at least MIN_PAIRS pairs.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH.json
 """
@@ -25,6 +26,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 RUN_FIELDS = ("correct", "attempted", "failed")
+MIN_PAIRS = 10  # a claimed gain must win at least 9 of 10 pairs
 
 
 def quartiles(values) -> dict:
@@ -37,9 +39,9 @@ def summarize(runs: dict, end_to_end: list, claim: str | None = None) -> dict:
 
     ``runs`` maps "parent" and "change" to lists of run rows (metric name
     -> value, plus RUN_FIELDS); ``end_to_end`` is BENCHMARK.json's list.
-    The metric named ``claim`` also gets ``claim_met``: the change better
-    in at least 9 of 10 pairs, and its median better by more than the
-    parent's IQR.
+    The metric named ``claim`` also gets ``claim_met``: at least MIN_PAIRS
+    pairs, the change better in at least 9 of 10 of them, and its median
+    better by more than the parent's IQR.
     """
     out = {"failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES}}
     for spec in end_to_end:
@@ -56,7 +58,8 @@ def summarize(runs: dict, end_to_end: list, claim: str | None = None) -> dict:
                "status": "worse" if worse > spec["bound"] else
                          "spread" if iqr > spec["bound"] else "ok"}
         if name == claim:
-            row["claim_met"] = wins >= 0.9 * len(parent) and -worse > iqr
+            row["claim_met"] = (len(parent) >= MIN_PAIRS and wins >= 0.9 * len(parent)
+                                and -worse > iqr)
         out[name] = row
     return out
 
@@ -87,31 +90,27 @@ def run_once(tree: str, command: list, workload: str, seed: int, seconds: int,
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="parent revision")
-    ap.add_argument("--change", default="HEAD", help="changed revision (default HEAD)")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS,
+                    help=f"alternating pairs per workload, at least {MIN_PAIRS}")
     ap.add_argument("--seconds", type=int, default=None,
                     help="seconds per run (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--seed-base", type=int, default=0, help="pair i runs seed SEED_BASE + i")
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated workloads (default: all of BENCHMARK.json)")
     ap.add_argument("--claim", default=None,
                     help="WORKLOAD:METRIC whose gain the change claims (default: none)")
     ap.add_argument("--notes", default="", help="free text stored with the result")
     ap.add_argument("--out", required=True, help="output JSON path")
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
+    if args.pairs < MIN_PAIRS:
+        ap.error(f"--pairs must be at least {MIN_PAIRS}")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = args.seconds or bench["run_seconds"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
     metrics = [m["name"] for m in bench["end_to_end"]]
     claim_workload, _, claim_metric = (args.claim or "").partition(":")
     revs = {side: subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", rev], check=True,
                                  capture_output=True, text=True).stdout.strip()
-            for side, rev in zip(SIDES, (args.parent, args.change))}
+            for side, rev in zip(SIDES, (args.parent, "HEAD"))}
     result = {
         "what": f"alternating parent/change runs of `{' '.join(bench['command'])} --workload W "
                 f"--seed S --seconds {seconds} --trace 0`, seed {args.seed_base}+i for pair i "
@@ -127,7 +126,7 @@ def main():
         trees = {side: os.path.join(tmp, side) for side in SIDES}
         for side in SIDES:
             export_tree(revs[side], trees[side])
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs, records = {side: [] for side in SIDES}, {}
             for i in range(args.pairs):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:

@@ -99,7 +99,10 @@ def subset_gram_spectrum(F: FrameMatrix, idx: np.ndarray) -> SubsetSpectrum:
 
     ``eigvalsh`` reads only the lower triangle that the rank-k update fills.
     """
-    G, m, k = _subset_gram(F, idx)
+    return _gram_spectrum(*_subset_gram(F, idx))
+
+
+def _gram_spectrum(G: np.ndarray, m: int, k: int) -> SubsetSpectrum:
     ev, n_clamped = _clamp(np.linalg.eigvalsh(G))
     return SubsetSpectrum(ev, m, k, clamped=n_clamped)
 
@@ -110,18 +113,19 @@ def subset_gram_traces(F: FrameMatrix, idx: np.ndarray) -> tuple[float, float, i
     tr G^-1 = ||L^-1||_F^2 for the Cholesky factor L (``potrf``, ``trtri``).
     As 1/lambda_min <= tr G^-1, a value up to INVERSE_TRACE_CERTIFIED proves
     that the spectrum clamps no eigenvalue; any other subset returns the
-    spectrum's sums, with tr G^-1 = inf when it clamps one.
+    spectrum's sums, with tr G^-1 = inf when it clamps one.  ``potrf``
+    factors a copy, so that subset's eigensolve reuses G.
     """
     G, m, k = _subset_gram(F, idx)
     trace = float(np.trace(G).real)
     potrf, trtri = lapack.get_lapack_funcs(("potrf", "trtri"), (G,))
-    L, info = potrf(G, lower=1, overwrite_a=1)
+    L, info = potrf(G, lower=1)
     if info == 0:
         L_inv, info = trtri(L, lower=1, overwrite_c=1)
         inverse_trace = float(np.linalg.norm(L_inv)) ** 2
         if info == 0 and inverse_trace <= INVERSE_TRACE_CERTIFIED:
             return trace, inverse_trace, min(m, k)
-    spec = subset_gram_spectrum(F, idx)
+    spec = _gram_spectrum(G, m, k)
     ev = spec.eigenvalues
     return float(np.sum(ev)), math.inf if spec.clamped else float(np.sum(1.0 / ev)), spec.r
 

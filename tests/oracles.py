@@ -6,9 +6,10 @@ quantity the package computes another way: the cycle contraction behind
 ``manova.inverse_moment_amplification``, the MANOVA CDF and integrals
 against the MANOVA law by adaptive quadrature, an empirical CDF for
 ``spectra.ks_distance``, and the dense MANOVA-ensemble sampler behind
-``spectra.sample_manova_ensemble``.  Three builders of test inputs close
-the file: a spectrum holding given values, a unit-norm Gaussian frame and
-a frame whose Gram has given eigenvalues.
+``spectra.sample_manova_ensemble``.  Test inputs close the file: builders
+of a spectrum holding given values, a unit-norm Gaussian frame and a frame
+whose Gram has given eigenvalues, and the frames and subset sizes on which
+the inverse traces are compared with the spectrum.
 """
 
 import itertools
@@ -238,3 +239,13 @@ def frame_with_gram_eigenvalues(ev, m: int) -> fr.FrameMatrix:
     Q, _ = np.linalg.qr(rng.standard_normal((m, len(ev))))
     V, _ = np.linalg.qr(rng.standard_normal((len(ev), len(ev))))
     return fr.FrameMatrix(Q @ (np.sqrt(ev)[:, None] * V.T), "synthetic")
+
+
+FRAMES = {
+    "dss103": lambda: fr.construct_dss(103),  # complex, m = 51
+    "real_paley101": lambda: fr.construct_real_paley(101),  # m = 51
+    "gaussian_iid": lambda: fr.construct_random("gaussian_iid", 200, 100, seed=1),
+}
+# (frame, k) with k on both sides of m: the k x k and the m x m Gram
+FRAME_SIDES = [("dss103", 41), ("dss103", 64), ("real_paley101", 41), ("real_paley101", 64),
+               ("gaussian_iid", 80), ("gaussian_iid", 125)]

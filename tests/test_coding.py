@@ -11,15 +11,7 @@ from etfspectra import frames as fr
 from etfspectra import spectra as sp
 from etfspectra.functionals import FunctionalSpec, evaluate
 from etfspectra.rng import derive_rng
-from oracles import frame_with_gram_eigenvalues
-
-FRAMES = {
-    "dss103": lambda: fr.construct_dss(103),  # complex, m = 51
-    "real_paley101": lambda: fr.construct_real_paley(101),  # m = 51
-    "gaussian_iid": lambda: fr.construct_random("gaussian_iid", 200, 100, seed=1),
-}
-SIDES = [("dss103", 41), ("dss103", 64), ("real_paley101", 41), ("real_paley101", 64),
-         ("gaussian_iid", 80), ("gaussian_iid", 125)]
+from oracles import FRAME_SIDES, FRAMES, frame_with_gram_eigenvalues
 
 
 class TestAmplification:
@@ -49,7 +41,7 @@ class TestAmplification:
         lam = cg.amplification(model, k / 251, p)
         assert lam == pytest.approx((1 - p) / (1 - k / 251), rel=0.02)
 
-    @pytest.mark.parametrize("frame, k", SIDES)
+    @pytest.mark.parametrize("frame, k", FRAME_SIDES)
     def test_empirical_ahmr_matches_spectrum_functional(self, frame, k):
         # the same trials through the spectrum and the "ac" functional
         F = FRAMES[frame]()
@@ -256,7 +248,7 @@ class TestMlie:
         assert res.patterns == 64
         assert math.isfinite(res.value)
 
-    @pytest.mark.parametrize("frame, k", SIDES)
+    @pytest.mark.parametrize("frame, k", FRAME_SIDES)
     def test_montecarlo_matches_spectrum_inverse_energy(self, frame, k):
         F = FRAMES[frame]()
         etas = sp.run_trials(F, 8, lambda s: np.sum(1.0 / s.eigenvalues) / F.m, 6, k=k)

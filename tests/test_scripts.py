@@ -35,29 +35,33 @@ def test_bench_pairs_summary_on_synthetic_runs():
     end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
                   {"name": "rate", "better": "higher", "bound": 0.25},
                   {"name": "rss", "better": "lower", "bound": 0.1}]
-    parent = [1.0, 1.1, 1.2, 0.9, 1.0]
+    parent = [1.0, 1.1, 1.2, 0.9, 1.0] * 2
     runs = {
         "parent": [{"failed": 0, "wall_s": w, "rate": 10.0, "rss": r}
-                   for w, r in zip(parent, [1.0, 1.0, 1.3, 1.0, 0.9])],
-        "change": [{"failed": f, "wall_s": 0.5 * w + (0.6 if i == 2 else 0.0), "rate": 7.0,
-                    "rss": 1.2} for i, (w, f) in enumerate(zip(parent, [0, 1, 0, 0, 2]))],
+                   for w, r in zip(parent, [1.0, 1.0, 1.3, 1.0, 0.9] * 2)],
+        "change": [{"failed": f, "wall_s": 0.5 * w + (0.6 if i in (2, 7) else 0.0),
+                    "rate": 7.0, "rss": 1.2}
+                   for i, (w, f) in enumerate(zip(parent, [0, 1, 0, 0, 2] * 2))],
     }
     out = bench_pairs.summarize(runs, end_to_end, claim="wall_s")
-    assert out["failed"] == {"parent": 0, "change": 3}
+    assert out["failed"] == {"parent": 0, "change": 6}
     wall = out["wall_s"]
-    # inclusive quartiles of [0.9, 1.0, 1.0, 1.1, 1.2]: 1.0, 1.0, 1.1
+    # inclusive quartiles of [0.9, 0.9, 1.0 x 4, 1.1, 1.1, 1.2, 1.2]: 1.0, 1.0, 1.1
     assert wall["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.1}
-    assert wall["change_wins"] == "4 of 5"  # pair 2 went 1.2 -> 1.2
+    assert wall["change_wins"] == "8 of 10"  # pairs 2 and 7 went 1.2 -> 1.2
     assert wall["relative_change_of_median"] == pytest.approx(-0.5)
     assert wall["parent_iqr_over_median"] == pytest.approx(0.1)
-    assert wall["status"] == "ok" and wall["claim_met"] is False  # 4 of 5 < 9 of 10
+    assert wall["status"] == "ok" and wall["claim_met"] is False  # 8 of 10 < 9 of 10
     # higher is better: 10 -> 7 is 30% worse, past its 25% bound
-    assert out["rate"]["change_wins"] == "0 of 5" and out["rate"]["status"] == "worse"
+    assert out["rate"]["change_wins"] == "0 of 10" and out["rate"]["status"] == "worse"
     assert "claim_met" not in out["rate"]
     assert out["rss"]["status"] == "worse"  # +20% against a 10% bound
     runs["change"][2]["wall_s"] = 0.5
     assert bench_pairs.summarize(runs, end_to_end, claim="wall_s")["wall_s"]["claim_met"]
-    runs["parent"][0]["rss"] = 2.0  # parent IQR/median 0.3 > 0.1, change no longer worse
+    # 9 of 10 won, but a claim needs MIN_PAIRS pairs: 5 all won are too few
+    short = {side: rows[:5] for side, rows in runs.items()}
+    assert bench_pairs.summarize(short, end_to_end, claim="wall_s")["wall_s"]["claim_met"] is False
+    runs["parent"][0]["rss"] = 2.0  # parent IQR/median 0.225 > 0.1, change no longer worse
     for row in runs["change"]:
         row["rss"] = 1.0
     assert bench_pairs.summarize(runs, end_to_end)["rss"]["status"] == "spread"

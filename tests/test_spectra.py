@@ -11,7 +11,8 @@ from etfspectra import frames as fr
 from etfspectra import spectra as sp
 from etfspectra.manova import ManovaDistribution, ManovaParams
 from etfspectra.rng import derive_rng
-from oracles import dense_manova_ensemble, empirical_cdf, frame_with_gram_eigenvalues, spectrum
+from oracles import (FRAME_SIDES, FRAMES, dense_manova_ensemble, empirical_cdf,
+                     frame_with_gram_eigenvalues, spectrum)
 
 
 class TestSelect:
@@ -97,7 +98,7 @@ class TestSubsetGramSpectrum:
 
 @pytest.fixture
 def spectrum_calls(monkeypatch):
-    """Counts the calls of sp.subset_gram_spectrum, the traces' fallback."""
+    """Counts the calls of sp.subset_gram_spectrum."""
     calls = []
     original = sp.subset_gram_spectrum
 
@@ -109,6 +110,20 @@ def spectrum_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The order of every Gram that numpy's eigvalsh solves."""
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(G):
+        calls.append(len(G))
+        return original(G)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
 def spectrum_sums(F, idx):
     """The spectrum path's (sum lambda, sum 1/lambda or inf when clamped, r)."""
     spec = sp.subset_gram_spectrum(F, idx)
@@ -117,18 +132,12 @@ def spectrum_sums(F, idx):
 
 
 class TestSubsetGramTraces:
-    @pytest.mark.parametrize("frame, k", [
-        ("dss103", 41), ("dss103", 64),  # complex, k < m = 51 and k > m
-        ("real_paley101", 41), ("real_paley101", 64),
-        ("gaussian_iid", 80), ("gaussian_iid", 125),
-    ])
-    def test_certified_path_matches_spectrum(self, frame, k, spectrum_calls):
-        F = {"dss103": lambda: fr.construct_dss(103),
-             "real_paley101": lambda: fr.construct_real_paley(101),
-             "gaussian_iid": lambda: fr.construct_random("gaussian_iid", 200, 100, 1)}[frame]()
+    @pytest.mark.parametrize("frame, k", FRAME_SIDES)
+    def test_certified_path_matches_spectrum(self, frame, k, eigensolves):
+        F = FRAMES[frame]()
         subsets = [sp.select(F.n, "uniform_k", derive_rng(11, t), k=k) for t in range(10)]
         got = [sp.subset_gram_traces(F, idx) for idx in subsets]
-        assert spectrum_calls == []  # every subset certified, none fell back
+        assert eigensolves == []  # every subset certified, none fell back
         for (tr, inv, r), idx in zip(got, subsets):
             want_tr, want_inv, want_r = spectrum_sums(F, idx)
             assert r == want_r == min(k, F.m)
@@ -138,13 +147,13 @@ class TestSubsetGramTraces:
             assert (inv / r) * (tr / r) == pytest.approx(
                 (want_inv / r) * (want_tr / r), rel=1e-12)
 
-    def test_small_eigenvalue_above_the_clamp_falls_back(self, spectrum_calls):
+    def test_small_eigenvalue_above_the_clamp_falls_back(self, eigensolves):
         # tr G^-1 = 3 + 2e9 is past the certificate, and the spectrum
         # path keeps 5e-10 (> ZERO_CLAMP): finite, the spectrum's sums
         F = frame_with_gram_eigenvalues(np.array([1.0, 1.0, 1.0, 5e-10]), m=6)
         idx = np.arange(4)
         tr, inv, r = sp.subset_gram_traces(F, idx)
-        assert spectrum_calls == [4]
+        assert eigensolves == [4]  # one eigensolve of the 4 x 4 Gram
         want_tr, want_inv, want_r = spectrum_sums(F, idx)
         assert math.isfinite(inv) and inv == pytest.approx(want_inv, rel=1e-12)
         assert inv == pytest.approx(3.0 + 2e9, rel=1e-5)
