@@ -72,13 +72,19 @@ class FrameMatrix:
     """An m-by-n frame with construction metadata.
 
     ``entries`` is complex or real float64, columns are the frame vectors.
-    Instances are immutable; the entry array is marked read-only.
+    ``circulant_row``, when set, is the row g of a circulant Gram,
+    G_ij = <f_i, f_j> = g[(j - i) mod n].  Only the harmonic constructors
+    set it; it is trusted, not checked against the entries, and every other
+    frame has None (a harmonic frame read from a file or with permuted
+    columns included).  Instances are immutable; both arrays are marked
+    read-only.
     """
 
     entries: np.ndarray
     family: str
     seed: int | None = None
     params: dict = field(default_factory=dict)
+    circulant_row: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.entries)
@@ -86,6 +92,12 @@ class FrameMatrix:
             raise FrameParameterError("frame entries must be a 2-d array")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
+        if self.circulant_row is not None:
+            g = np.asarray(self.circulant_row)
+            if g.shape != (a.shape[1],):
+                raise FrameParameterError("a circulant row has one entry per column")
+            g.setflags(write=False)
+            object.__setattr__(self, "circulant_row", g)
 
     @property
     def m(self) -> int:
@@ -140,14 +152,25 @@ def _jacobsthal(q: int) -> np.ndarray:
 def _harmonic_frame(n: int, freqs: np.ndarray) -> np.ndarray:
     """Rows of the n-point IDFT at the given frequencies, unit-norm columns.
 
-    Entry (j, i) is exp(2*pi*1j*freqs[j]*i/n)/sqrt(m), so every entry has
-    magnitude 1/sqrt(m) and every column norm is exactly 1.
+    Entry (j, i) is w^(freqs[j] i) / sqrt(m) with w = exp(2 pi 1j / n), read
+    from a table of the n n-th roots of unity at the exact integer phase
+    freqs[j] i mod n: n calls of ``exp`` instead of n m, and no rounding of
+    a phase that grows to 2 pi n.  Every entry has magnitude 1/sqrt(m) and
+    every column norm is 1 to rounding.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
-    m = len(freqs)
-    i = np.arange(n)
-    phase = 2.0 * np.pi * np.outer(freqs, i) / n
-    return np.exp(1j * phase) / math.sqrt(m)
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    return roots[np.outer(freqs, np.arange(n)) % n] / math.sqrt(len(freqs))
+
+
+def _harmonic(n: int, freqs: np.ndarray, family: str, **meta) -> FrameMatrix:
+    """The harmonic frame at ``freqs`` with the row of its circulant Gram.
+
+    <f_i, f_j> = (1/m) sum_r w^(freqs[r] (j - i)) depends on (j - i) mod n
+    alone, so the Gram is circulant with row g = conj(f_0) F.
+    """
+    E = _harmonic_frame(n, freqs)
+    return FrameMatrix(E, family, circulant_row=E[:, 0].conj() @ E, **meta)
 
 
 def construct_dss(n: int) -> FrameMatrix:
@@ -160,10 +183,7 @@ def construct_dss(n: int) -> FrameMatrix:
     if not is_prime(n) or n % 4 != 3 or n < 7:
         raise FrameParameterError(
             f"dss needs a prime n = 3 (mod 4), n >= 7; got {n}")
-    freqs = _quadratic_residues(n)
-    entries = _harmonic_frame(n, freqs)
-    lam = (n - 3) // 4
-    return FrameMatrix(entries, "dss", params={"n": n, "lambda": lam})
+    return _harmonic(n, _quadratic_residues(n), "dss", params={"n": n, "lambda": (n - 3) // 4})
 
 
 def construct_lowpass_dft(n: int, m: int) -> FrameMatrix:
@@ -171,8 +191,7 @@ def construct_lowpass_dft(n: int, m: int) -> FrameMatrix:
     n, m = int(n), int(m)
     if not 1 <= m <= n:
         raise FrameParameterError(f"need 1 <= m <= n; got m={m}, n={n}")
-    entries = _harmonic_frame(n, np.arange(m))
-    return FrameMatrix(entries, "lowpass_dft", params={"n": n, "m": m})
+    return _harmonic(n, np.arange(m), "lowpass_dft", params={"n": n, "m": m})
 
 
 def construct_random_spectrum_dft(n: int, m: int, seed: int) -> FrameMatrix:
@@ -182,9 +201,7 @@ def construct_random_spectrum_dft(n: int, m: int, seed: int) -> FrameMatrix:
         raise FrameParameterError(f"need 1 <= m <= n; got m={m}, n={n}")
     rng = derive_rng(seed)
     freqs = np.sort(rng.permutation(n)[:m])
-    entries = _harmonic_frame(n, freqs)
-    return FrameMatrix(entries, "random_spectrum_dft", seed=seed,
-                       params={"n": n, "m": m})
+    return _harmonic(n, freqs, "random_spectrum_dft", seed=seed, params={"n": n, "m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +246,7 @@ def construct_complex_paley(q: int) -> FrameMatrix:
     if not is_prime(q) or q % 4 != 3:
         raise FrameParameterError(f"complex_paley needs a prime q = 3 (mod 4); got {q}")
     freqs = np.sort(np.concatenate(([0], _quadratic_residues(q))))
-    entries = _harmonic_frame(q, freqs)
-    return FrameMatrix(entries, "complex_paley", params={"q": q})
+    return _harmonic(q, freqs, "complex_paley", params={"q": q})
 
 
 def construct_grassmannian(n: int) -> FrameMatrix:

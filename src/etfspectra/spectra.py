@@ -4,7 +4,10 @@ the Monte Carlo trial engine that every estimator in the package runs on.
 
 The Gram of a selected m-by-k subframe is formed on the smaller side
 (k-by-k when k <= m, else m-by-m); the two sides share their nonzero
-spectrum, so the stored spectrum always has r = min(k, m) entries.
+spectrum, so the stored spectrum always has r = min(k, m) entries.  A
+k <= m subset of a frame with a circulant Gram row (the harmonic frames)
+gathers its k-by-k Gram from that row; every other subset takes one rank-k
+update of its columns.
 """
 
 from __future__ import annotations
@@ -82,14 +85,26 @@ def _clamp(ev: np.ndarray) -> tuple[np.ndarray, int]:
     return np.where(ev < ZERO_CLAMP, 0.0, ev), n_clamped
 
 
-def _subset_gram(F: FrameMatrix, idx: np.ndarray):
-    """(G, m, k): the lower triangle of the Gram of the columns ``idx`` on
-    the smaller side, from one rank-k update (``herk`` for complex frames,
-    ``syrk`` for real ones)."""
+def _subset_gram(F: FrameMatrix, idx):
+    """(G, m, k): the Gram of the columns ``idx`` on the smaller side, with
+    at least its lower triangle filled.
+
+    A k <= m subset of a frame with a circulant row g is the gather
+    G_ab = g[(idx_b - idx_a) mod n], both triangles, O(k^2) and no
+    arithmetic; an index of n or more, or below -n, raises IndexError as
+    indexing the entries would.  Every other subset, and the m-by-m side,
+    takes one rank-k update of its columns (``herk`` for complex frames,
+    ``syrk`` for real ones), which fills the lower triangle.
+    """
     if len(idx) == 0:
         raise ValueError("empty subset")
+    m, n, k = F.m, F.n, len(idx)
+    if F.circulant_row is not None and k <= m:
+        idx = np.asarray(idx)
+        if idx.dtype.kind not in "iu" or idx.max() >= n or idx.min() < -n:
+            raise IndexError(f"subset indices must be integers in [-{n}, {n})")
+        return np.take(F.circulant_row, idx[None, :] - idx[:, None], mode="wrap"), m, k
     A = np.asfortranarray(F.entries[:, idx])
-    m, k = A.shape
     rank_k_update = blas.zherk if F.is_complex else blas.dsyrk
     return rank_k_update(1.0, A, trans=2 if k <= m else 0, lower=1), m, k  # A'A or AA'
 
@@ -97,7 +112,9 @@ def _subset_gram(F: FrameMatrix, idx: np.ndarray):
 def subset_gram_spectrum(F: FrameMatrix, idx: np.ndarray) -> SubsetSpectrum:
     """Eigenvalues of the Gram of the columns ``idx``, ascending.
 
-    ``eigvalsh`` reads only the lower triangle that the rank-k update fills.
+    The Gram is ``_subset_gram``'s: gathered from a harmonic frame's
+    circulant row when k <= m, else one rank-k update.  ``eigvalsh`` reads
+    only the lower triangle, which both fill.
     """
     return _gram_spectrum(*_subset_gram(F, idx))
 
@@ -108,7 +125,8 @@ def _gram_spectrum(G: np.ndarray, m: int, k: int) -> SubsetSpectrum:
 
 
 def subset_gram_traces(F: FrameMatrix, idx: np.ndarray) -> tuple[float, float, int]:
-    """(tr G, tr G^-1, r) of the subset Gram of ``subset_gram_spectrum``.
+    """(tr G, tr G^-1, r) of the subset Gram of ``subset_gram_spectrum``
+    (the same ``_subset_gram``, gathered or from a rank-k update).
 
     tr G^-1 = ||L^-1||_F^2 for the Cholesky factor L (``potrf``, ``trtri``).
     As 1/lambda_min <= tr G^-1, a value up to INVERSE_TRACE_CERTIFIED proves
@@ -242,7 +260,8 @@ def run_trials(source, trials: int, statistic, seed=None, path=(),
     spectrum from the MANOVA(n, m, k) matrix ensemble.  The measure
     defaults to the Gram spectrum (``subset_gram_spectrum``, looked up at
     call time); ``subset_gram_traces`` is the one other.  An empty
-    selection has an empty spectrum.  Trial t draws from
+    selection has an empty spectrum; under any other measure it raises a
+    ValueError naming the trial.  Trial t draws from
     derive_rng(seed, *path, t + 1); trials run on a pool of
     ETFSPECTRA_THREADS threads (LAPACK releases the GIL) into indexed
     slots, so the values do not depend on scheduling.
@@ -254,9 +273,14 @@ def run_trials(source, trials: int, statistic, seed=None, path=(),
         mode = "uniform_k" if p is None else "bernoulli"
         measure = subset_gram_spectrum if measure is None else measure
 
-        def draw(rng):
+        def draw(t, rng):
             idx = select(F.n, mode, rng, k=k, p=p)
-            return measure(F, idx) if len(idx) else SubsetSpectrum(np.empty(0), F.m, 0)
+            if len(idx):
+                return measure(F, idx)
+            if measure is subset_gram_spectrum:
+                return SubsetSpectrum(np.empty(0), F.m, 0)
+            raise ValueError(f"trial {t} selected no column; only the spectrum "
+                             "measure takes an empty subset")
     else:
         n, m, field_tag = source
         if k is None:
@@ -264,7 +288,7 @@ def run_trials(source, trials: int, statistic, seed=None, path=(),
         if measure is not None:
             raise ValueError("an ensemble draw is a spectrum; it takes no measure")
 
-        def draw(rng):
+        def draw(t, rng):
             return sample_manova_ensemble(n, m, k, field_tag, rng)
 
-    return _map_indexed(lambda t: statistic(draw(derive_rng(seed, *path, t + 1))), trials)
+    return _map_indexed(lambda t: statistic(draw(t, derive_rng(seed, *path, t + 1))), trials)

@@ -254,3 +254,63 @@ def test_frame_entries_read_only():
     F = fr.construct_dss(7)
     with pytest.raises(ValueError):
         F.entries[0, 0] = 0.0
+
+
+HARMONIC_CASES = [
+    ("dss", {"n": 103}),
+    ("lowpass_dft", {"n": 104, "m": 52}),
+    ("random_spectrum_dft", {"n": 104, "m": 52, "seed": 3}),
+    ("complex_paley", {"q": 103}),
+]
+
+
+def exp_formula(n, freqs):
+    """Oracle: the harmonic entries from one ``exp`` of each rounded phase."""
+    freqs = np.asarray(freqs, dtype=np.int64)
+    return np.exp(2j * np.pi * np.outer(freqs, np.arange(n)) / n) / math.sqrt(len(freqs))
+
+
+class TestCirculantRow:
+    @pytest.mark.parametrize("family,params", HARMONIC_CASES)
+    def test_row_generates_the_gram(self, family, params):
+        F = fr.construct(family, **params)
+        g, n = F.circulant_row, F.n
+        assert g.shape == (n,) and not g.flags.writeable
+        shifts = np.subtract.outer(np.arange(n), np.arange(n)).T % n  # (j - i) mod n
+        assert np.abs(fr.gram(F) - g[shifts]).max() < 1e-12
+
+    def test_frames_without_a_row(self, tmp_path):
+        from etfspectra import frameio
+
+        dss = fr.construct_dss(103)
+        frameio.save_frame(dss, str(tmp_path / "dss.json"))
+        perm = np.random.default_rng(0).permutation(103)
+        for F in (fr.FrameMatrix(dss.entries[:, perm], "dss"),
+                  fr.FrameMatrix(fr.construct_lowpass_dft(104, 52).entries[:, :103], "dft"),
+                  fr.construct_spikes_sines(52),
+                  fr.construct_real_paley(101),
+                  frameio.load_frame(str(tmp_path / "dss.json"))):
+            assert F.circulant_row is None
+
+    def test_row_length_checked(self):
+        with pytest.raises(fr.FrameParameterError):
+            fr.FrameMatrix(np.ones((2, 3)), "bad", circulant_row=np.ones(2))
+
+    @pytest.mark.parametrize("n, freqs", [
+        (863, fr._quadratic_residues(863)),
+        (104, np.arange(52)),
+        (101, np.array([0, 5, 17, 99])),
+        (13, np.array([-3, 14, 2])),  # frequencies outside [0, n) wrap
+    ])
+    def test_table_entries_match_exp_formula(self, n, freqs):
+        assert np.abs(fr._harmonic_frame(n, freqs) - exp_formula(n, freqs)).max() < 1e-12
+
+    def test_dss863_residuals(self):
+        # the exact integer phase keeps both residuals at rounding level;
+        # the exp of the rounded phase 2 pi f i / n left 1.1e-13 and 6.8e-14
+        F = fr.construct_dss(863)
+        E = F.entries
+        tight = np.abs(E @ E.conj().T - (F.n / F.m) * np.eye(F.m)).max()
+        off = np.abs(fr.gram(F)[~np.eye(F.n, dtype=bool)])
+        assert tight < 1e-14
+        assert np.abs(off - fr.welch_value(F.n, F.m)).max() < 1e-14

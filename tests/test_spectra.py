@@ -96,6 +96,99 @@ class TestSubsetGramSpectrum:
         assert spec.eigenvalues == pytest.approx([1 - w, 1 + w], abs=1e-10)
 
 
+def with_row(E, family):
+    """A frame of the entries E with the row conj(f_0) E that the harmonic
+    constructors set."""
+    return fr.FrameMatrix(E, family, circulant_row=E[:, 0].conj() @ E)
+
+
+def without_row(F):
+    """The same entries with no circulant row: the rank-k update path."""
+    return fr.FrameMatrix(F.entries, F.family)
+
+
+def full_lower(G):
+    """The Hermitian matrix whose lower triangle G holds."""
+    L = np.tril(G)
+    return L + np.tril(L, -1).conj().T
+
+
+def _shifted_dss(n=103, shift=5):
+    """DSS(n) at the frequencies QR(n) + shift: a modulated harmonic frame."""
+    return with_row(fr._harmonic_frame(n, fr._quadratic_residues(n) + shift), "dss_shifted")
+
+
+def _rolled_dss(n=103, shift=7):
+    """DSS(n) with its columns cyclically shifted, so f_0 is complex."""
+    return with_row(np.roll(fr.construct_dss(n).entries, -shift, axis=1), "dss_rolled")
+
+
+HARMONIC = {
+    "dss103": lambda: fr.construct_dss(103),
+    "dss103_shifted": _shifted_dss,
+    "dss103_rolled": _rolled_dss,
+    "lowpass_dft": lambda: fr.construct_lowpass_dft(104, 52),
+    "random_spectrum_dft": lambda: fr.construct_random_spectrum_dft(104, 52, seed=3),
+    "complex_paley103": lambda: fr.construct_complex_paley(103),
+}
+
+
+class TestCirculantGather:
+    @pytest.mark.parametrize("frame", HARMONIC)
+    @pytest.mark.parametrize("side", ["k<m", "k=m"])
+    def test_gather_matches_rank_k_update(self, frame, side):
+        F = HARMONIC[frame]()
+        assert F.circulant_row is not None
+        k = F.m // 2 if side == "k<m" else F.m
+        for t in range(3):
+            idx = sp.select(F.n, "uniform_k", derive_rng(21, t), k=k)
+            G, m, kk = sp._subset_gram(F, idx)
+            H, _, _ = sp._subset_gram(without_row(F), idx)
+            assert (m, kk) == (F.m, k)
+            assert np.abs(np.triu(H, 1)).max() == 0.0  # the update's lower triangle
+            assert np.abs(G - full_lower(H)).max() < 1e-12
+            want = sp.subset_gram_spectrum(without_row(F), idx).eigenvalues
+            assert np.abs(sp.subset_gram_spectrum(F, idx).eigenvalues - want).max() < 1e-12
+            tr, _, r = sp.subset_gram_traces(F, idx)
+            want_tr, _, want_r = sp.subset_gram_traces(without_row(F), idx)
+            assert r == want_r and tr == pytest.approx(want_tr, rel=1e-12)
+
+    def test_wide_side_keeps_rank_k_update(self):
+        F = fr.construct_dss(103)
+        idx = sp.select(F.n, "uniform_k", derive_rng(22), k=F.m + 7)
+        G, m, k = sp._subset_gram(F, idx)
+        assert G.shape == (m, m) and np.abs(np.triu(G, 1)).max() == 0.0
+
+    def test_loaded_dss_matches_constructed(self, tmp_path):
+        from etfspectra import frameio
+
+        F = fr.construct_dss(103)
+        frameio.save_frame(F, str(tmp_path / "dss.json"))
+        loaded = frameio.load_frame(str(tmp_path / "dss.json"))
+        assert loaded.circulant_row is None
+        for k in (20, F.m):
+            idx = sp.select(F.n, "uniform_k", derive_rng(23, k), k=k)
+            got = sp.subset_gram_spectrum(loaded, idx).eigenvalues
+            assert np.abs(got - sp.subset_gram_spectrum(F, idx).eigenvalues).max() < 1e-12
+
+    @pytest.mark.parametrize("build", [lambda: fr.construct_dss(103),
+                                       lambda: fr.construct_real_paley(101)],
+                             ids=["dss_gather", "paley_update"])
+    @pytest.mark.parametrize("measure", [sp.subset_gram_spectrum, sp.subset_gram_traces],
+                             ids=["spectrum", "traces"])
+    def test_indices(self, build, measure):
+        F = build()
+        assert (F.circulant_row is not None) == (F.family == "dss")
+        for bad in ([0, F.n], [F.n + 5, 1], [-F.n - 1, 3], [2, 0, -2 * F.n], [0.0, 2.5]):
+            with pytest.raises(IndexError):
+                measure(F, np.array(bad))
+        # tuples, as mlie(mode="exact") passes them, and indices in [-n, 0)
+        values = lambda out: np.asarray(getattr(out, "eigenvalues", out), dtype=float)
+        want = values(measure(F, np.array([0, 3, 9, F.n - 1])))
+        for same in ((0, 3, 9, F.n - 1), (0, 3, 9, -1), [-F.n, 3, 9, F.n - 1]):
+            assert np.abs(values(measure(F, same)) - want).max() < 1e-12
+
+
 @pytest.fixture
 def spectrum_calls(monkeypatch):
     """Counts the calls of sp.subset_gram_spectrum."""
@@ -384,6 +477,14 @@ class TestRunTrials:
         F = fr.construct_dss(7)
         (spec,) = sp.run_trials(F, 1, lambda s: s, seed=0, p=0.0)
         assert (spec.k, len(spec.eigenvalues)) == (0, 0)
+
+    def test_empty_draw_under_traces_names_the_trial(self):
+        # Bernoulli(0.05) on 14 columns leaves some trials empty; the traces
+        # statistic must never see an empty spectrum in their place
+        F = fr.construct_real_paley(13)
+        with pytest.raises(ValueError, match="trial [0-9]+ selected no column"):
+            sp.run_trials(F, 20, lambda traces: traces, seed=0, p=0.05,
+                          measure=sp.subset_gram_traces)
 
     def test_selection_arguments(self):
         F = fr.construct_dss(7)
