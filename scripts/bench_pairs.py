@@ -64,6 +64,19 @@ def summarize(runs: dict, end_to_end: list, claim: str | None = None) -> dict:
     return out
 
 
+def parse_claim(claim: str, bench: dict) -> tuple[str, str]:
+    """(workload, metric) of a WORKLOAD:METRIC claim; a ValueError unless
+    both name a workload and an end-to-end metric of ``bench``."""
+    workloads = [w["name"] for w in bench["workloads"]]
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    workload, _, metric = claim.partition(":")
+    if workload not in workloads or metric not in metrics:
+        raise ValueError(f"--claim takes WORKLOAD:METRIC with WORKLOAD one of "
+                         f"{', '.join(workloads)} and METRIC one of {', '.join(metrics)}; "
+                         f"got {claim!r}")
+    return workload, metric
+
+
 def export_tree(rev: str, dest: str) -> None:
     archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
                              check=True, capture_output=True).stdout
@@ -107,7 +120,12 @@ def main():
         bench = json.load(fh)
     seconds = args.seconds or bench["run_seconds"]
     metrics = [m["name"] for m in bench["end_to_end"]]
-    claim_workload, _, claim_metric = (args.claim or "").partition(":")
+    claim_workload = claim_metric = None
+    if args.claim is not None:
+        try:
+            claim_workload, claim_metric = parse_claim(args.claim, bench)
+        except ValueError as exc:
+            ap.error(str(exc))
     revs = {side: subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", rev], check=True,
                                  capture_output=True, text=True).stdout.strip()
             for side, rev in zip(SIDES, (args.parent, "HEAD"))}

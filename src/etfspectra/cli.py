@@ -119,6 +119,9 @@ def _parse_range(spec: str):
     parts = [float(x) for x in spec.split(":")]
     if len(parts) == 1:
         return np.array(parts)
+    if len(parts) != 3 or not (parts[0] <= parts[1] and parts[2] > 0):
+        raise ValueError(f"--sdr-db takes a value or lo:hi:step with lo <= hi and step > 0; "
+                         f"got {spec!r}")
     lo, hi, step = parts
     return np.arange(lo, hi + 0.5 * step, step)
 

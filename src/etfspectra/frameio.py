@@ -53,13 +53,25 @@ def save_frame(frame: FrameMatrix, path: str) -> None:
 
 
 def load_frame(path: str) -> FrameMatrix:
+    """The frame stored at ``path``.  A file that is not a well-formed
+    version-1 frame raises a ValueError naming the path and the problem."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != FORMAT_NAME or doc.get("version") != FORMAT_VERSION:
+    if (not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME
+            or doc.get("version") != FORMAT_VERSION):
         raise ValueError(f"not a {FORMAT_NAME} v{FORMAT_VERSION} file: {path}")
-    m, n = int(doc["m"]), int(doc["n"])
+    missing = [key for key in ("family", "m", "n", "field", "data_b64") if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    m, n, field = int(doc["m"]), int(doc["n"]), doc["field"]
+    if field not in ("real", "complex"):
+        raise ValueError(f"{path}: field must be 'real' or 'complex'; got {field!r}")
     raw = np.frombuffer(base64.b64decode(doc["data_b64"]), dtype="<f8")
-    if doc["field"] == "complex":
+    size = (2 if field == "complex" else 1) * m * n
+    if raw.size != size:
+        raise ValueError(f"{path}: data_b64 holds {raw.size} values; a {field} {m}x{n} "
+                         f"frame has {size}")
+    if field == "complex":
         entries = raw.astype(np.float64).view(np.complex128).reshape(m, n)
     else:
         entries = raw.astype(np.float64).reshape(m, n)

@@ -10,7 +10,7 @@ baseline at each rung's own (n, m, k) and field.  Realized integer ratios
 beta_n = k/m and gamma_n = m/n parameterize the reference law, not the targets.
 
 Trials run on the engine of ``spectra.run_trials``: trial t at size index i
-draws from (seed, i, t + 1), so results do not depend on the thread count.
+draws from (seed, i, t + 1) alone, whatever ran before it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import frames as fr
 from .functionals import FunctionalSpec, evaluate, limiting_value
 from .manova import ManovaDistribution, ManovaParams
 from .rng import derive_rng
-from .spectra import ks_distance, run_trials, worker_count
+from .spectra import ks_distance, run_trials
 
 __all__ = [
     "ExperimentRecord",
@@ -56,6 +56,12 @@ ENSEMBLE_FAMILIES = ("manova_ensemble", "manova_ensemble_real")
 
 # fewest ladder rungs the fits accept: one regressor and an intercept
 MIN_FIT_POINTS = 3
+
+
+def worker_count() -> int:
+    """1: trials run one at a time.  ``perfbench/child.py`` reads this before
+    it adds up traced self times; it goes when ROADMAP item 1 drops that read."""
+    return 1
 
 
 @dataclass(frozen=True)

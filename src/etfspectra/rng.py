@@ -2,28 +2,24 @@
 
 All randomness in this package flows through numpy's PCG64 generator.  A
 master seed plus an integer path (experiment id, size, trial index, ...)
-is mapped to an independent stream via ``SeedSequence(seed, spawn_key=path)``,
-so batches can run in any order, or in parallel, and still reproduce.
+is mapped to an independent stream via ``SeedSequence(seed, spawn_key=path)``.
+A stream depends only on (seed, path), never on the order streams are drawn.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_rng", "derive_seed_sequence"]
-
-
-def derive_seed_sequence(seed, *path):
-    """SeedSequence for a master seed and an integer derivation path."""
-    if seed is None:
-        return np.random.SeedSequence()
-    return np.random.SeedSequence(int(seed), spawn_key=tuple(int(x) for x in path))
+__all__ = ["derive_rng"]
 
 
 def derive_rng(seed, *path):
-    """Independent Generator for (seed, *path).
+    """Independent Generator for (seed, *path); seed None draws OS entropy.
 
     Same arguments give the same stream; different paths give streams that
     are independent for practical purposes.
     """
-    return np.random.default_rng(derive_seed_sequence(seed, *path))
+    if seed is None:
+        return np.random.default_rng()
+    path = tuple(int(x) for x in path)
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=path))

@@ -13,8 +13,6 @@ update of its columns.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,6 @@ __all__ = [
     "ks_distance",
     "sample_manova_ensemble",
     "run_trials",
-    "worker_count",
     "ZERO_CLAMP",
 ]
 
@@ -233,23 +230,6 @@ def sample_manova_ensemble(n: int, m: int, k: int, field: str,
 # ---------------------------------------------------------------------------
 # the Monte Carlo trial engine
 
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ETFSPECTRA_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn, count: int) -> list:
-    """[fn(t) for t in range(count)], slot t holding fn(t) whatever order
-    the pool ran them in."""
-    workers = worker_count()
-    if workers == 1:
-        return [fn(t) for t in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def run_trials(source, trials: int, statistic, seed=None, path=(),
                k: int | None = None, p: float | None = None, measure=None) -> list:
     """``statistic(draw)`` for each of ``trials`` independent draws.
@@ -261,10 +241,9 @@ def run_trials(source, trials: int, statistic, seed=None, path=(),
     defaults to the Gram spectrum (``subset_gram_spectrum``, looked up at
     call time); ``subset_gram_traces`` is the one other.  An empty
     selection has an empty spectrum; under any other measure it raises a
-    ValueError naming the trial.  Trial t draws from
-    derive_rng(seed, *path, t + 1); trials run on a pool of
-    ETFSPECTRA_THREADS threads (LAPACK releases the GIL) into indexed
-    slots, so the values do not depend on scheduling.
+    ValueError naming the trial.  Trials run one at a time, and trial t
+    draws from derive_rng(seed, *path, t + 1) alone, so its value does not
+    depend on the trials before it.
     """
     if (p is None) == (k is None):
         raise ValueError("give exactly one of p or k")
@@ -291,4 +270,4 @@ def run_trials(source, trials: int, statistic, seed=None, path=(),
         def draw(t, rng):
             return sample_manova_ensemble(n, m, k, field_tag, rng)
 
-    return _map_indexed(lambda t: statistic(draw(t, derive_rng(seed, *path, t + 1))), trials)
+    return [statistic(draw(t, derive_rng(seed, *path, t + 1))) for t in range(trials)]

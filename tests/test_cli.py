@@ -261,6 +261,8 @@ def test_frames_construct_bad_parameters_exit_without_traceback(tmp_path, params
     (("exact", "--frame", "{frame}", "--d", "9"), "d must be in 1..8; got 9"),
     (("exact", "--frame", "{missing}", "--d", "4"),
      "[Errno 2] No such file or directory: '{missing}'"),
+    (("exact", "--frame", "{malformed}", "--d", "4"),
+     "{malformed}: field must be 'real' or 'complex'; got 'quaternion'"),
     (("ewb", "--gamma", "0.5", "--p", "0.5", "--d", "5", "--n", "7"),
      "the bound is proven for d in 2..4; got 5"),
     (("asymptotic", "--d", "13"), "d must be in 1..12; got 13"),
@@ -268,20 +270,22 @@ def test_frames_construct_bad_parameters_exit_without_traceback(tmp_path, params
      "the bound needs n >= 2 vectors; got n=1"),
     (("ewb", "--gamma", "0.5", "--p", "0.5", "--d", "4", "--n", "0"),
      "the bound needs n >= 2 vectors; got n=0"),
-], ids=["exact-order", "exact-missing-frame", "ewb-order", "asymptotic-order", "ewb-n1",
-        "ewb-n0"])
+], ids=["exact-order", "exact-missing-frame", "exact-malformed-frame", "ewb-order",
+        "asymptotic-order", "ewb-n1", "ewb-n0"])
 def test_moments_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     frame, missing = tmp_path / "frame.json", tmp_path / "missing.json"
+    malformed = tmp_path / "malformed.json"
     run("frames", "construct", "--family", "dss", "--n", "7", "--out", str(frame))
-    argv = [a.format(frame=frame, missing=missing) for a in argv]
+    malformed.write_text(json.dumps({**json.loads(frame.read_text()), "field": "quaternion"}))
+    paths = {"frame": frame, "missing": missing, "malformed": malformed}
+    argv = [a.format(**paths) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "etfspectra.cli", "moments", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
-    assert proc.stderr.strip().splitlines() == [
-        f"moments {argv[0]}: {reason.format(missing=missing)}"]
+    assert proc.stderr.strip().splitlines() == [f"moments {argv[0]}: {reason.format(**paths)}"]
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -298,8 +302,13 @@ def test_moments_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
       "--sdr-db", "10:20:10", "--optimize-beta"),
      "no source beta to search at p=0.9999: the bracket is [1.0, 0.9999], "
      "and the search needs 0 <= p <= 1 and a width above 1e-06"),
+    *[(("coding", "curve", "--direction", "cc", "--p", "0.5", "--beta", "2",
+        "--sdr-db", spec),
+       f"--sdr-db takes a value or lo:hi:step with lo <= hi and step > 0; got '{spec}'")
+      for spec in ("0:10:0", "10:0:2", "0:60")],
 ], ids=["spectra-missing-frame", "functional-missing-frame", "manova-beta",
-        "coding-beta-range", "coding-no-beta", "coding-no-bracket"])
+        "coding-beta-range", "coding-no-beta", "coding-no-bracket", "coding-range-step-0",
+        "coding-range-descending", "coding-range-two-parts"])
 def test_commands_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -30,7 +33,19 @@ def test_bytes_deterministic(tmp_path):
 
 
 def test_rejects_foreign_file(tmp_path):
+    good = tmp_path / "dss7.json"
+    frameio.save_frame(fr.construct_dss(7), good)  # m = 3, n = 7, complex
+    doc = json.loads(good.read_text())
     path = tmp_path / "x.json"
-    path.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError):
-        frameio.load_frame(path)
+    cases = [
+        ({"format": "something-else"}, "not a etfspectra-frame v1 file"),
+        ([1, 2], "not a etfspectra-frame v1 file"),
+        ({k: v for k, v in doc.items() if k != "m"}, "missing m"),
+        ({**doc, "field": "quaternion"}, "field must be 'real' or 'complex'; got 'quaternion'"),
+        ({**doc, "n": 6}, "data_b64 holds 42 values; a complex 3x6 frame has 36"),
+        ({**doc, "field": "real"}, "data_b64 holds 42 values; a real 3x7 frame has 21"),
+    ]
+    for content, reason in cases:
+        path.write_text(json.dumps(content))
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            frameio.load_frame(path)

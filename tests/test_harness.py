@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,8 @@ import pytest
 from scipy import stats
 from scipy.special import betainc
 
-from etfspectra import coding as cg
 from etfspectra import frames as fr
 from etfspectra import harness as hs
-from etfspectra import moments as mo
 from etfspectra import spectra as sp
 from etfspectra.functionals import FunctionalSpec
 from etfspectra.manova import ManovaDistribution, ManovaParams
@@ -158,18 +157,6 @@ class TestTTest:
         assert hs.t_test_equal_slopes(fa, fb) == 2.0 * stats.t.sf(abs(t), dof)
 
 
-# every caller of the trial engine, as (seed, thread count) -> values
-ENGINE_CALLERS = {
-    "run_ks_batch-dss": lambda: hs.run_ks_batch("dss", (103,), 0.8, 0.5, 8, seed=5)[0][0].values,
-    "run_ks_batch-manova_ensemble": lambda: hs.run_ks_batch(
-        "manova_ensemble", (103,), 0.8, 0.5, 8, seed=5)[0][0].values,
-    "empirical_ahmr": lambda: cg.empirical_ahmr(fr.construct_dss(103), 41, 8, seed=5),
-    "empirical_moment-p": lambda: mo.empirical_moment(fr.construct_dss(103), 4, 8, seed=5, p=0.4),
-    "empirical_moment-k": lambda: mo.empirical_moment(fr.construct_dss(103), 4, 8, seed=5, k=41),
-    "mlie-montecarlo": lambda: cg.mlie(fr.construct_dss(103), 41, "montecarlo", 8, seed=5),
-}
-
-
 class TestBatches:
     def test_trials_guard(self):
         with pytest.raises(ValueError):
@@ -206,13 +193,17 @@ class TestBatches:
         b, _ = hs.run_ks_batch("manova_ensemble", (64,), 0.8, 0.5, 6, seed=3)
         assert a[0].values == b[0].values
 
-    @pytest.mark.parametrize("case", sorted(ENGINE_CALLERS))
-    def test_thread_count_does_not_change_results(self, monkeypatch, case):
-        monkeypatch.setenv("ETFSPECTRA_THREADS", "1")
-        a = ENGINE_CALLERS[case]()
+    def test_trials_run_on_the_calling_thread(self, monkeypatch):
+        # the retired ETFSPECTRA_THREADS variable starts no pool
         monkeypatch.setenv("ETFSPECTRA_THREADS", "2")
-        b = ENGINE_CALLERS[case]()
-        assert a == b
+        threads = []
+
+        def statistic(spec):
+            threads.append(threading.current_thread())
+
+        sp.run_trials(fr.construct_dss(103), 8, statistic, seed=5, k=41)
+        sp.run_trials((103, 51, "complex"), 8, statistic, seed=5, k=41)
+        assert threads == [threading.main_thread()] * 16
 
     def test_functional_batch_shrinks_with_n(self):
         spec = FunctionalSpec("shannon", alpha=1.0)
@@ -312,14 +303,6 @@ trials = 500
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             hs.parse_config("family dss")
-
-    def test_worker_count_default(self, monkeypatch):
-        monkeypatch.delenv("ETFSPECTRA_THREADS", raising=False)
-        assert hs.worker_count() == 1
-        monkeypatch.setenv("ETFSPECTRA_THREADS", "8")
-        assert hs.worker_count() == 8
-        monkeypatch.setenv("ETFSPECTRA_THREADS", "bogus")
-        assert hs.worker_count() == 1
 
 
 def test_resolve_dims_fixed_aspect_families():

@@ -1,6 +1,7 @@
 """Smoke test: every experiment script runs to completion on tiny inputs."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -27,11 +28,31 @@ def test_script_runs(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_bench_pairs_summary_on_synthetic_runs():
+def _bench_pairs():
     path = ROOT / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_rejects_a_claim_outside_the_benchmark(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+                           "--parent", "HEAD", "--claim", "wall_s", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "--claim takes WORKLOAD:METRIC" in proc.stderr and "got 'wall_s'" in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert _bench_pairs().parse_claim("erasure_mc:wall_s", bench) == ("erasure_mc", "wall_s")
+    for claim in ("erasure_mc:", "erasure_mc:rng.derive_rng.calls", "nowhere:wall_s"):
+        with pytest.raises(ValueError, match="WORKLOAD:METRIC"):
+            _bench_pairs().parse_claim(claim, bench)
+
+
+def test_bench_pairs_summary_on_synthetic_runs():
+    bench_pairs = _bench_pairs()
     end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
                   {"name": "rate", "better": "higher", "bound": 0.25},
                   {"name": "rss", "better": "lower", "bound": 0.1}]
