@@ -170,22 +170,24 @@ def _check_out_path(path):
 
 def _harness_common(args):
     _check_out_path(args.out)
-    if args.config:
-        with open(args.config) as fh:
-            cfg = harness.parse_config(fh.read())
-    else:
-        cfg = {}
-    # explicit flag > config file > built-in default (flags parse as None)
-    for key, default in HARNESS_DEFAULTS.items():
-        if getattr(args, key) is None:
-            cast = type(default)
-            setattr(args, key, cast(cfg[key]) if key in cfg else default)
-    sizes = harness.DESK_SIZES if args.profile == "desk" else harness.FULL_SIZES
     if args.sizes:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-    elif "sizes" in cfg:
-        sizes = tuple(int(s) for s in cfg["sizes"].split(","))
-    return sizes
+        return tuple(int(s) for s in args.sizes.split(","))
+    return harness.DESK_SIZES if args.profile == "desk" else harness.FULL_SIZES
+
+
+CONFIG_KEYS = ("family", "beta", "gamma", "trials", "seed", "profile", "sizes")
+
+
+def _config_flags(path):
+    """The settings of a ``--config`` file as ``--key=value`` flags, so that
+    argparse converts and checks them as it does the command line's."""
+    with open(path) as fh:
+        cfg = harness.parse_config(fh.read())
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown config key {key!r}; "
+                             f"the keys are {', '.join(CONFIG_KEYS)}")
+    return [f"--{key}={value}" for key, value in cfg.items()]
 
 
 def _require_rungs(cmd, count, skipped=()):
@@ -234,10 +236,6 @@ def _cmd_harness(args):
                   f"{sum(e * e for e in fit.residuals):.5f} b_frame={b_frame:.5f} "
                   f"b_baseline={b_base:.5f} p_equal={p:.5g}")
     print(f"{result} -> {args.out}")
-
-
-HARNESS_DEFAULTS = {"family": "manova_ensemble", "beta": 0.8, "gamma": 0.5,
-                    "trials": 200, "seed": 0, "profile": "desk"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,12 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("harness").add_subparsers(dest="cmd", required=True)
     for name in ("test1", "test2"):
         c = g.add_parser(name)
-        c.add_argument("--family")
-        c.add_argument("--beta", type=float)
-        c.add_argument("--gamma", type=float)
-        c.add_argument("--trials", type=int)
-        c.add_argument("--seed", type=int)
-        c.add_argument("--profile", choices=("desk", "full"))
+        c.add_argument("--family", default="manova_ensemble")
+        c.add_argument("--beta", type=float, default=0.8)
+        c.add_argument("--gamma", type=float, default=0.5)
+        c.add_argument("--trials", type=int, default=200)
+        c.add_argument("--seed", type=int, default=0)
+        c.add_argument("--profile", choices=("desk", "full"), default="desk")
         c.add_argument("--sizes", help="comma-separated ladder overriding the profile")
         c.add_argument("--config", help="flat key=value config file; flags win")
         c.add_argument("--out", required=True)
@@ -339,8 +337,14 @@ def main(argv=None) -> int:
     """Run one command.  A bad argument or a file that cannot be read or
     written ends it with one ``<group> <cmd>: <reason>`` line on stderr and
     exit status 1."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the file's settings go between the command (argv[:2]) and its
+            # flags, so a flag wins over the file and the file over a default
+            args = parser.parse_args(argv[:2] + _config_flags(args.config) + argv[2:])
         args.fn(args)
     except (OSError, ValueError, OverflowError) as exc:
         raise SystemExit(f"{args.group} {args.cmd}: {exc}") from None

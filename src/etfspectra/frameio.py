@@ -56,7 +56,10 @@ def load_frame(path: str) -> FrameMatrix:
     """The frame stored at ``path``.  A file that is not a well-formed
     version-1 frame raises a ValueError naming the path and the problem."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ValueError(f"{path}: not a JSON document ({exc})") from None
     if (not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME
             or doc.get("version") != FORMAT_VERSION):
         raise ValueError(f"not a {FORMAT_NAME} v{FORMAT_VERSION} file: {path}")
@@ -66,7 +69,10 @@ def load_frame(path: str) -> FrameMatrix:
     m, n, field = int(doc["m"]), int(doc["n"]), doc["field"]
     if field not in ("real", "complex"):
         raise ValueError(f"{path}: field must be 'real' or 'complex'; got {field!r}")
-    raw = np.frombuffer(base64.b64decode(doc["data_b64"]), dtype="<f8")
+    try:
+        raw = np.frombuffer(base64.b64decode(doc["data_b64"], validate=True), dtype="<f8")
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: data_b64 is not base64 of whole float64 values") from None
     size = (2 if field == "complex" else 1) * m * n
     if raw.size != size:
         raise ValueError(f"{path}: data_b64 holds {raw.size} values; a {field} {m}x{n} "

@@ -84,9 +84,10 @@ def limiting_value(spec: FunctionalSpec, params: ManovaParams) -> float:
         return inverse_moment_amplification(params.beta, params.p)
     law = ManovaDistribution(params)
     if kind in ("rip", "strip", "max", "min", "cond"):
-        locations = [a.location for a in law.atoms]
-        lo = min([law.edges.r_minus] + locations)
-        hi = max([law.edges.r_plus] + locations)
+        # the edges are points of the law only when it has a continuous part;
+        # at gamma = 1 they meet at 1 - beta and the law is the atom at 1
+        points = [a.location for a in law.atoms] + (list(law.edges) if law.continuous else [])
+        lo, hi = min(points), max(points)
         if kind == "max":
             return hi
         if kind == "min":

@@ -106,7 +106,7 @@ class ManovaDistribution:
         self._mass0 = sum(a.mass for a in atoms if a.location == 0.0)
         self._mass_top = sum(a.mass for a in atoms if a.location > 0.0)
         # at gamma = 1 or p = 1 the edges meet and the law is its atoms alone
-        self._continuous = self.edges.r_plus > self.edges.r_minus
+        self.continuous = self.edges.r_plus > self.edges.r_minus
         # delta+ = 1 - gamma r+ = (sqrt((1-gamma)(1-p)) - sqrt(gamma p))^2, the gap
         # between 1 and gamma r+ in a form that does not cancel; exactly 0 when
         # p + gamma = 1 within rounding, where r+ sits on the density's 1/gamma pole
@@ -149,7 +149,7 @@ class ManovaDistribution:
         return an unconverged value.
         """
         val = 0.0
-        if self._continuous:
+        if self.continuous:
             val = self._midpoint_rule(fn)
         return val + sum(a.mass * fn(a.location) for a in self.atoms)
 
@@ -229,7 +229,7 @@ class ManovaDistribution:
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.where(x >= 0.0, self._mass0, 0.0)
-        if self._continuous:
+        if self.continuous:
             out = out + self._continuous_cdf(x)
         if self._mass_top:
             out = out + np.where(x >= 1.0 / self.params.gamma, self._mass_top, 0.0)

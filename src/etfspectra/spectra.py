@@ -37,19 +37,19 @@ ZERO_CLAMP = 1e-10
 INVERSE_TRACE_CERTIFIED = 0.01 / ZERO_CLAMP  # tr G^-1 at most this: lambda_min >= 100 ZERO_CLAMP
 
 
-def select(n: int, mode: str, rng: np.random.Generator, k: int | None = None,
+def select(n: int, rng: np.random.Generator, k: int | None = None,
            p: float | None = None) -> np.ndarray:
-    """Sorted int64 indices of a subset of {0..n-1}: a uniform k-subset or
-    Bernoulli(p) marks."""
-    if mode == "uniform_k":
-        if k is None or not 0 <= k <= n:
-            raise ValueError(f"uniform_k needs 0 <= k <= n; got k={k}")
+    """Sorted int64 indices of a subset of {0..n-1}: a uniform k-subset
+    (give ``k``) or Bernoulli(p) marks (give ``p``)."""
+    if (p is None) == (k is None):
+        raise ValueError("give exactly one of p or k")
+    if p is None:
+        if not 0 <= k <= n:
+            raise ValueError(f"a uniform k-subset needs 0 <= k <= n; got k={k}")
         return np.sort(rng.permutation(n)[:k])
-    if mode == "bernoulli":
-        if p is None or not 0.0 <= p <= 1.0:
-            raise ValueError(f"bernoulli needs 0 <= p <= 1; got p={p}")
-        return np.nonzero(rng.random(n) < p)[0]
-    raise ValueError(f"unknown selection mode {mode!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"Bernoulli marks need 0 <= p <= 1; got p={p}")
+    return np.nonzero(rng.random(n) < p)[0]
 
 
 @dataclass(frozen=True)
@@ -245,15 +245,12 @@ def run_trials(source, trials: int, statistic, seed=None, path=(),
     draws from derive_rng(seed, *path, t + 1) alone, so its value does not
     depend on the trials before it.
     """
-    if (p is None) == (k is None):
-        raise ValueError("give exactly one of p or k")
     if isinstance(source, FrameMatrix):
         F = source
-        mode = "uniform_k" if p is None else "bernoulli"
         measure = subset_gram_spectrum if measure is None else measure
 
         def draw(t, rng):
-            idx = select(F.n, mode, rng, k=k, p=p)
+            idx = select(F.n, rng, k=k, p=p)
             if len(idx):
                 return measure(F, idx)
             if measure is subset_gram_spectrum:
@@ -262,8 +259,8 @@ def run_trials(source, trials: int, statistic, seed=None, path=(),
                              "measure takes an empty subset")
     else:
         n, m, field_tag = source
-        if k is None:
-            raise ValueError("ensemble draws need k")
+        if k is None or p is not None:
+            raise ValueError("ensemble draws take k, not p")
         if measure is not None:
             raise ValueError("an ensemble draw is a spectrum; it takes no measure")
 

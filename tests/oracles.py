@@ -169,7 +169,7 @@ def integrate_quad(dist, fn) -> float:
     """Integral of fn against a ManovaDistribution by adaptive quadrature
     in the edge-substituted variable, plus fn at each point mass."""
     val = 0.0
-    if dist._continuous:
+    if dist.continuous:
         val, _ = integrate.quad(lambda th: fn(dist._x_of(th)) * dist._weight(th),
                                 0.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-11, limit=200)
     return val + sum(a.mass * fn(a.location) for a in dist.atoms)

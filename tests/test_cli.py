@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -263,6 +264,8 @@ def test_frames_construct_bad_parameters_exit_without_traceback(tmp_path, params
      "[Errno 2] No such file or directory: '{missing}'"),
     (("exact", "--frame", "{malformed}", "--d", "4"),
      "{malformed}: field must be 'real' or 'complex'; got 'quaternion'"),
+    (("exact", "--frame", "{not_json}", "--d", "4"),
+     "{not_json}: not a JSON document (Expecting value: line 1 column 1 (char 0))"),
     (("ewb", "--gamma", "0.5", "--p", "0.5", "--d", "5", "--n", "7"),
      "the bound is proven for d in 2..4; got 5"),
     (("asymptotic", "--d", "13"), "d must be in 1..12; got 13"),
@@ -270,8 +273,8 @@ def test_frames_construct_bad_parameters_exit_without_traceback(tmp_path, params
      "the bound needs n >= 2 vectors; got n=1"),
     (("ewb", "--gamma", "0.5", "--p", "0.5", "--d", "4", "--n", "0"),
      "the bound needs n >= 2 vectors; got n=0"),
-], ids=["exact-order", "exact-missing-frame", "exact-malformed-frame", "ewb-order",
-        "asymptotic-order", "ewb-n1", "ewb-n0"])
+], ids=["exact-order", "exact-missing-frame", "exact-malformed-frame", "exact-not-json",
+        "ewb-order", "asymptotic-order", "ewb-n1", "ewb-n0"])
 def test_moments_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -280,7 +283,9 @@ def test_moments_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
     malformed = tmp_path / "malformed.json"
     run("frames", "construct", "--family", "dss", "--n", "7", "--out", str(frame))
     malformed.write_text(json.dumps({**json.loads(frame.read_text()), "field": "quaternion"}))
-    paths = {"frame": frame, "missing": missing, "malformed": malformed}
+    not_json = tmp_path / "frame.txt"
+    not_json.write_text("frame: dss7\n")
+    paths = {"frame": frame, "missing": missing, "malformed": malformed, "not_json": not_json}
     argv = [a.format(**paths) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "etfspectra.cli", "moments", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -347,6 +352,56 @@ def test_harness_bad_paths_exit_before_any_rung(tmp_path, monkeypatch, cmd, bad)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == f"harness {cmd}: {reason}"
+
+
+@pytest.mark.parametrize("cmd", ("test1", "test2"))
+def test_harness_unknown_config_key_exits_before_any_rung(tmp_path, monkeypatch, cmd):
+    from etfspectra import harness
+
+    monkeypatch.setattr(harness, "run_ladder", _no_ladder)
+    cfg, out = tmp_path / "run.cfg", tmp_path / "t.csv"
+    cfg.write_text("family = dss\ntrails = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["harness", cmd, "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == (f"harness {cmd}: {cfg}: unknown config key 'trails'; "
+                              "the keys are family, beta, gamma, trials, seed, profile, sizes")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ("test1", "test2"))
+def test_harness_config_value_is_checked_as_its_flag(tmp_path, monkeypatch, capsys, cmd):
+    from etfspectra import harness
+
+    monkeypatch.setattr(harness, "run_ladder", _no_ladder)
+    cfg, out = tmp_path / "run.cfg", tmp_path / "t.csv"
+    cfg.write_text("profile = dsk\n")
+    errors = []
+    for extra in (["--profile", "dsk"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["harness", cmd, *extra, "--out", str(out)])
+        errors.append((exc.value.code, capsys.readouterr().err))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 2
+    assert "argument --profile: invalid choice: 'dsk'" in errors[0][1]
+    assert not out.exists()
+
+
+def test_config_keys_are_the_documented_harness_options():
+    # README's list, the recognized keys and the options of both commands
+    # agree, so a renamed flag cannot leave a dead key
+    from etfspectra import cli
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Harness configuration", 1)[1].split("\n#", 1)[0]
+    listed = re.search(r"recognized keys are (.+?);", section, re.S).group(1)
+    assert tuple(re.findall(r"`(\w+)`", listed)) == cli.CONFIG_KEYS
+    values = {"family": "dss", "beta": "0.7", "gamma": "0.4", "trials": "5", "seed": "3",
+              "profile": "full", "sizes": "19,23,31"}
+    assert set(values) == set(cli.CONFIG_KEYS)
+    flags = [f"--{key}={value}" for key, value in values.items()]
+    for cmd in ("test1", "test2"):
+        args = cli.build_parser().parse_args(["harness", cmd, *flags, "--out", "t.csv"])
+        assert {key: str(getattr(args, key)) for key in values} == values
 
 
 @pytest.mark.parametrize("cmd", ("test1", "test2"))

@@ -44,8 +44,11 @@ def test_rejects_foreign_file(tmp_path):
         ({**doc, "field": "quaternion"}, "field must be 'real' or 'complex'; got 'quaternion'"),
         ({**doc, "n": 6}, "data_b64 holds 42 values; a complex 3x6 frame has 36"),
         ({**doc, "field": "real"}, "data_b64 holds 42 values; a real 3x7 frame has 21"),
+        ("frame: dss7\n", f"{path}: not a JSON document (Expecting value"),
+        ({**doc, "data_b64": "AAAA"}, f"{path}: data_b64 is not base64 of whole float64 values"),
+        ({**doc, "data_b64": "AA!A"}, f"{path}: data_b64 is not base64 of whole float64 values"),
     ]
-    for content, reason in cases:
-        path.write_text(json.dumps(content))
+    for content, reason in cases:  # a str is written as it is, anything else as JSON
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
         with pytest.raises(ValueError, match=re.escape(reason)):
             frameio.load_frame(path)

@@ -105,6 +105,18 @@ class TestLimitingValue:
         assert limiting_value(FunctionalSpec("cond"), params) == pytest.approx(
             e.r_plus / e.r_minus)
 
+    @pytest.mark.parametrize("kind", ("rip", "strip", "max", "min", "cond"))
+    def test_extremes_at_gamma_one_match_ensemble(self, kind):
+        # at m = n the edges meet at 1 - beta, which carries no mass: the law
+        # is the atom at 1, and so is every ensemble spectrum
+        spec = FunctionalSpec(kind, delta=0.1 if kind == "strip" else None)
+        n, k = 40, 20
+        limit = limiting_value(spec, ManovaParams.from_counts(n, n, k))
+        rng = derive_rng(3)
+        for field in ("complex", "real"):
+            value = evaluate(spec, sp.sample_manova_ensemble(n, n, k, field, rng))
+            assert value == pytest.approx(limit, abs=1e-12)
+
     def test_mp_ac_exceeds_manova_ac(self):
         # lower is better: the MANOVA law strictly beats Marchenko-Pastur
         beta = 0.8

@@ -239,7 +239,7 @@ class TestBatches:
             k = round(0.8 * m)
             dist = ManovaDistribution(ManovaParams.from_counts(2 * m, m, k))
             for _ in range(24):
-                spec = sp.subset_gram_spectrum(F, sp.select(2 * m, "uniform_k", rng, k=k))
+                spec = sp.subset_gram_spectrum(F, sp.select(2 * m, rng, k=k))
                 ref_means.append(sp.ks_distance(spec, dist.cdf))
             means.append(np.mean(ref_means))
         assert min(means) > 0.1
@@ -254,7 +254,7 @@ class TestEdgeConvergence:
         rng = derive_rng(9)
         lo, hi = [], []
         for _ in range(200):
-            ev = sp.subset_gram_spectrum(F, sp.select(503, "uniform_k", rng, k=k)).eigenvalues
+            ev = sp.subset_gram_spectrum(F, sp.select(503, rng, k=k)).eigenvalues
             lo.append(ev.min())
             hi.append(ev.max())
         assert abs(np.median(lo) - edges.r_minus) < 0.05

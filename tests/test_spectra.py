@@ -17,20 +17,20 @@ from oracles import (FRAME_SIDES, FRAMES, dense_manova_ensemble, empirical_cdf,
 
 class TestSelect:
     def test_full_subset(self):
-        idx = sp.select(5, "uniform_k", derive_rng(0), k=5)
+        idx = sp.select(5, derive_rng(0), k=5)
         assert np.array_equal(idx, np.arange(5))
 
     def test_bernoulli_p_zero(self):
-        assert len(sp.select(10, "bernoulli", derive_rng(0), p=0.0)) == 0
+        assert len(sp.select(10, derive_rng(0), p=0.0)) == 0
 
     def test_fixed_seed_fixed_subset(self):
-        a = sp.select(20, "uniform_k", derive_rng(9), k=7)
-        b = sp.select(20, "uniform_k", derive_rng(9), k=7)
+        a = sp.select(20, derive_rng(9), k=7)
+        b = sp.select(20, derive_rng(9), k=7)
         assert np.array_equal(a, b)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            sp.select(4, "uniform_k", derive_rng(0), k=5)
+            sp.select(4, derive_rng(0), k=5)
 
 
 class TestSubsetGramSpectrum:
@@ -49,7 +49,7 @@ class TestSubsetGramSpectrum:
 
     def test_trace_identity(self):
         F = fr.construct_dss(11)
-        idx = sp.select(11, "uniform_k", derive_rng(1), k=4)
+        idx = sp.select(11, derive_rng(1), k=4)
         spec = sp.subset_gram_spectrum(F, idx)
         assert spec.eigenvalues.sum() == pytest.approx(4.0, abs=1e-8)
 
@@ -80,7 +80,7 @@ class TestSubsetGramSpectrum:
         # oracle: eigvalsh of the full gemm Gram on the smaller side, symmetrized
         F = fr.construct_dss(103) if frame == "dss103" else fr.construct_real_paley(29)
         k = {"k<m": F.m // 2, "k=m": F.m, "k>m": F.m + 7}[side]
-        idx = sp.select(F.n, "uniform_k", derive_rng(5), k=k)
+        idx = sp.select(F.n, derive_rng(5), k=k)
         A = F.entries[:, idx]
         G = A.conj().T @ A if k <= F.m else A @ A.conj().T
         want = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
@@ -141,7 +141,7 @@ class TestCirculantGather:
         assert F.circulant_row is not None
         k = F.m // 2 if side == "k<m" else F.m
         for t in range(3):
-            idx = sp.select(F.n, "uniform_k", derive_rng(21, t), k=k)
+            idx = sp.select(F.n, derive_rng(21, t), k=k)
             G, m, kk = sp._subset_gram(F, idx)
             H, _, _ = sp._subset_gram(without_row(F), idx)
             assert (m, kk) == (F.m, k)
@@ -155,7 +155,7 @@ class TestCirculantGather:
 
     def test_wide_side_keeps_rank_k_update(self):
         F = fr.construct_dss(103)
-        idx = sp.select(F.n, "uniform_k", derive_rng(22), k=F.m + 7)
+        idx = sp.select(F.n, derive_rng(22), k=F.m + 7)
         G, m, k = sp._subset_gram(F, idx)
         assert G.shape == (m, m) and np.abs(np.triu(G, 1)).max() == 0.0
 
@@ -167,7 +167,7 @@ class TestCirculantGather:
         loaded = frameio.load_frame(str(tmp_path / "dss.json"))
         assert loaded.circulant_row is None
         for k in (20, F.m):
-            idx = sp.select(F.n, "uniform_k", derive_rng(23, k), k=k)
+            idx = sp.select(F.n, derive_rng(23, k), k=k)
             got = sp.subset_gram_spectrum(loaded, idx).eigenvalues
             assert np.abs(got - sp.subset_gram_spectrum(F, idx).eigenvalues).max() < 1e-12
 
@@ -228,7 +228,7 @@ class TestSubsetGramTraces:
     @pytest.mark.parametrize("frame, k", FRAME_SIDES)
     def test_certified_path_matches_spectrum(self, frame, k, eigensolves):
         F = FRAMES[frame]()
-        subsets = [sp.select(F.n, "uniform_k", derive_rng(11, t), k=k) for t in range(10)]
+        subsets = [sp.select(F.n, derive_rng(11, t), k=k) for t in range(10)]
         got = [sp.subset_gram_traces(F, idx) for idx in subsets]
         assert eigensolves == []  # every subset certified, none fell back
         for (tr, inv, r), idx in zip(got, subsets):
@@ -263,7 +263,7 @@ class TestSubsetGramTraces:
         F = fr.construct_lowpass_dft(211, 105)
         finite = 0
         for t in range(20):
-            idx = sp.select(F.n, "uniform_k", derive_rng(13, t), k=84)
+            idx = sp.select(F.n, derive_rng(13, t), k=84)
             _, inv, _ = sp.subset_gram_traces(F, idx)
             _, want, _ = spectrum_sums(F, idx)
             assert math.isinf(inv) == math.isinf(want)
@@ -451,7 +451,7 @@ def test_etf_subset_pins_first_two_moments_ensemble_does_not():
     frob = k + k * (k - 1) * (n - m) / (m * (n - 1))
     rng = derive_rng(0)
     for _ in range(20):
-        ev = sp.subset_gram_spectrum(F, sp.select(n, "uniform_k", rng, k=k)).eigenvalues
+        ev = sp.subset_gram_spectrum(F, sp.select(n, rng, k=k)).eigenvalues
         assert ev.sum() == pytest.approx(k, abs=1e-9)
         assert (ev ** 2).sum() == pytest.approx(frob, abs=1e-9)
     traces = [sp.sample_manova_ensemble(n, m, k, "complex", rng).eigenvalues.sum()
@@ -466,7 +466,7 @@ class TestRunTrials:
         F = fr.construct_dss(11)
         got = sp.run_trials(F, 3, lambda s: s.eigenvalues, seed=4, path=(2,), k=5)
         for t, ev in enumerate(got):
-            idx = sp.select(11, "uniform_k", derive_rng(4, 2, t + 1), k=5)
+            idx = sp.select(11, derive_rng(4, 2, t + 1), k=5)
             assert np.array_equal(ev, sp.subset_gram_spectrum(F, idx).eigenvalues)
         ens = sp.run_trials((11, 5, "real"), 2, lambda s: s.eigenvalues, seed=4, k=3)
         for t, ev in enumerate(ens):
@@ -498,7 +498,7 @@ class TestRunTrials:
         F = fr.construct_dss(11)
         got = sp.run_trials(F, 3, lambda x: x, seed=4, k=5, measure=sp.subset_gram_traces)
         for t, traces in enumerate(got):
-            idx = sp.select(11, "uniform_k", derive_rng(4, t + 1), k=5)
+            idx = sp.select(11, derive_rng(4, t + 1), k=5)
             assert traces == sp.subset_gram_traces(F, idx)
         # the default measure is the module's subset_gram_spectrum at call
         # time, so a rebound global (a tracer's wrapper) sees every trial
