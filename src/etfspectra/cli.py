@@ -170,7 +170,7 @@ def _check_out_path(path):
 
 def _harness_common(args):
     _check_out_path(args.out)
-    if args.sizes:
+    if args.sizes is not None:
         return tuple(int(s) for s in args.sizes.split(","))
     return harness.DESK_SIZES if args.profile == "desk" else harness.FULL_SIZES
 

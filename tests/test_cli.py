@@ -369,20 +369,24 @@ def test_harness_unknown_config_key_exits_before_any_rung(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("cmd", ("test1", "test2"))
-def test_harness_config_value_is_checked_as_its_flag(tmp_path, monkeypatch, capsys, cmd):
+@pytest.mark.parametrize("key, value, reason", [
+    ("profile", "dsk", "argument --profile: invalid choice: 'dsk'"),
+    ("sizes", "", "invalid literal for int() with base 10: ''"),
+], ids=("profile-dsk", "empty-sizes"))
+def test_harness_config_value_is_checked_as_its_flag(tmp_path, monkeypatch, capsys, cmd,
+                                                     key, value, reason):
     from etfspectra import harness
 
     monkeypatch.setattr(harness, "run_ladder", _no_ladder)
     cfg, out = tmp_path / "run.cfg", tmp_path / "t.csv"
-    cfg.write_text("profile = dsk\n")
+    cfg.write_text(f"{key} = {value}\n")
     errors = []
-    for extra in (["--profile", "dsk"], ["--config", str(cfg)]):
+    for extra in ([f"--{key}", value], ["--config", str(cfg)]):
         with pytest.raises(SystemExit) as exc:
             main(["harness", cmd, *extra, "--out", str(out)])
         errors.append((exc.value.code, capsys.readouterr().err))
     assert errors[0] == errors[1]
-    assert errors[0][0] == 2
-    assert "argument --profile: invalid choice: 'dsk'" in errors[0][1]
+    assert reason in f"{errors[0][0]} {errors[0][1]}"
     assert not out.exists()
 
 
