@@ -269,7 +269,7 @@ def manova_moment_closed(d: int, params: ManovaParams) -> float:
     from .moments import asymptotic_moment
 
     x = 1.0 / params.gamma - 1.0
-    return asymptotic_moment(int(d)).evaluate(params.p, x)
+    return asymptotic_moment(d).evaluate(params.p, x)
 
 
 def inverse_moment_amplification(beta: float, p: float) -> float:

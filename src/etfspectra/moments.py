@@ -12,8 +12,11 @@ live here:
 * ``exact_expected_moment`` (d = 1..8) weights the Gram contraction of each
   class of set partitions of the cycle positions with a product of
   Bernoulli cumulants: one contraction program per dihedral class, 354 at
-  d = 8, compiled once per d, in place of the n^d index tuples;
-  ``MAX_EXACT_WORK`` caps its multiply-adds, which allows n <= 286 at d = 8,
+  d = 8, compiled once per d, in place of the n^d index tuples.  A frame
+  with a circulant Gram (the harmonic constructors') sums each class with
+  one index fixed, by shift invariance.  ``MAX_EXACT_WORK`` caps its
+  multiply-adds, which allows n <= 286 at d = 8 in general and n <= 1962
+  on a circulant Gram,
 * ``all_subsets_expected_moment`` averages subset Gram traces over all 2^n
   erasure patterns (the independent oracle),
 * ``asymptotic_moment`` evaluates the n -> infinity polynomial for
@@ -64,9 +67,22 @@ __all__ = [
 
 MAX_EXACT_D = 8
 MAX_EXACT_WORK = 4 * 10 ** 10
-_SLICE_ELEMENTS = 1 << 20  # intermediates of exact_expected_moment stay within this
+_SLICE_ELEMENTS = 1 << 20  # intermediates of the general exact path stay within this
 MAX_PARTITION_D = 14
 MAX_ASYMPTOTIC_D = 12
+
+
+def _order(d, top: int | None = None) -> int:
+    """The moment order d as an int, at least 1 and at most ``top``; any
+    other d, 4.5 included, is a ValueError naming it."""
+    try:
+        order = int(d)
+    except (TypeError, ValueError, OverflowError):
+        order = None
+    if order is None or order != d or order < 1 or (top is not None and order > top):
+        raise ValueError(f"d must be in 1..{top}; got {d}" if top is not None
+                         else f"d must be a positive integer; got {d}")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +195,7 @@ def partition_census(d: int) -> dict:
     So each lambda adds that count to census[d + 1 - b] at its parts >= 2;
     with b fixed, those parts determine lambda.
     """
-    d = int(d)
-    if not 1 <= d <= MAX_PARTITION_D:
-        raise ValueError(f"d must be in 1..{MAX_PARTITION_D}; got {d}")
+    d = _order(d, MAX_PARTITION_D)
     census: dict = {}
     for lam in _integer_partitions(d, d):
         b = len(lam)
@@ -229,9 +243,7 @@ def _a_block(d: int, k: int) -> tuple:
 
 def asymptotic_moment(d: int) -> MomentPolynomial:
     """n -> infinity subset moment polynomial m_d(p, x) of an ETF family."""
-    d = int(d)
-    if not 1 <= d <= MAX_ASYMPTOTIC_D:
-        raise ValueError(f"d must be in 1..{MAX_ASYMPTOTIC_D}; got {d}")
+    d = _order(d, MAX_ASYMPTOTIC_D)
     blocks = [(0,), (1,)]  # p^0 and p^1 (a_{d,1} = 1)
     for k in range(2, d + 1):
         blocks.append(_a_diag(d) if k == d else _a_block(d, k))
@@ -276,9 +288,7 @@ def empirical_moment(F: FrameMatrix, d: int, trials: int, seed=None,
     Exactly one of ``p`` (Bernoulli selection) or ``k`` (uniform subsets)
     must be given.  Empty draws contribute zero.
     """
-    d = int(d)
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    d = _order(d)
     vals = np.array(run_trials(F, trials, lambda spec: float(np.sum(spec.eigenvalues ** d)) / F.n,
                                seed, k=k, p=p))
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
@@ -345,7 +355,9 @@ def _compile_step(labels: list, out: set) -> tuple:
         ix, iy = (tuple(slice(None) if c in w else None for c in z) for w in (x, y))
         return lambda u, v: u.transpose(px)[ix] * v.transpose(py)[iy], z
     if len(summed) > 1:  # both have the same axes, and every one is summed
-        assert x == y, f"{x},{y}: axes in another order"
+        if x != y:
+            py = tuple(y.index(c) for c in x)
+            return lambda u, v: np.dot(u.ravel(), v.transpose(py).ravel()), ""
         return lambda u, v: np.dot(u.ravel(), v.ravel()), ""
     # one summed index k: x as (batch, x-only, k), y as (batch, k, y-only),
     # extra free indices broadcast as leading axes of a matmul
@@ -367,37 +379,43 @@ def _compile_step(labels: list, out: set) -> tuple:
     return lambda u, v: (u.transpose(px)[ix] @ v.transpose(py)[iy])[iz], z
 
 
-def _elimination_path(terms: list) -> tuple:
+def _elimination_path(terms: list, free: str = "") -> tuple:
     """Contraction program summing a product of vertex vectors and edge
     matrices over every index, by variable elimination: take the vertex with
     the fewest neighbours ('a' last, so that slicing 'a' bounds every
     intermediate) and contract its operands pairwise, the pair with the
     fewest indices first (with 'a' among equals), until the vertex is
-    summed out.  Returns the program (``_Step``s), the number of distinct
-    indices of each step (it costs about n to that power) and the largest
-    intermediate's rank."""
+    summed out.  Indices in ``free`` (the shift-invariant path's 'a', of
+    extent 1 there) count for nothing.  Returns the program (``_Step``s),
+    each step's number of distinct indices not in ``free`` (it costs about
+    n to that power) and the largest intermediate's count of them."""
     live, program, steps, rank = list(terms), [], [], 0
     left = sorted(set("".join(terms)), reverse=True)
+
+    def extent(labels):
+        return len(set("".join(labels)) - set(free))
+
     while left:
-        v = min(left[:-1] or left,
-                key=lambda v: len(set("".join(t for t in live if v in t))))
+        v = min(left[:-1] or left, key=lambda v: extent(t for t in live if v in t))
         left.remove(v)
         while True:
             pos = [i for i, t in enumerate(live) if v in t]
             if not pos:
                 break
             pick = min(itertools.combinations(pos, 2), default=tuple(pos),
-                       key=lambda ij: (len(set(live[ij[0]] + live[ij[1]])),
+                       key=lambda ij: (extent(live[i] for i in ij),
                                        "a" not in live[ij[0]] + live[ij[1]]))
             labels = [live[i] for i in pick]
             touched = set("".join(labels))
             for i in sorted(pick, reverse=True):
                 del live[i]
-            run, labels = _compile_step(labels, touched & set("".join(live)))
+            # an index of one operand only is kept, for a later step to sum
+            keep = set(labels[0]) ^ set(labels[-1])
+            run, labels = _compile_step(labels, touched & set("".join(live)) | keep)
             live.append(labels)
             program.append(_Step(pick, run))
-            steps.append(len(touched))
-            rank = max(rank, len(live[-1]))
+            steps.append(extent(touched))
+            rank = max(rank, extent(live[-1]))
     return tuple(program), tuple(steps), rank
 
 
@@ -418,12 +436,45 @@ class _CycleClass(NamedTuple):
     keys: tuple      # operand keys: (l,) is diag(G)^l, (f, r) is G^f conj(G)^r
     sliced: tuple    # whether each operand's first index is 'a'
     path: tuple      # contraction program: the pairwise steps, in order
-    steps: tuple     # number of indices each path step touches
-    rank: int        # largest intermediate's number of indices
+    steps: tuple     # each path step costs about n to this power
+    rank: int        # largest intermediate's number of indices (bar 'a' if shifted)
+
+
+def _network(lab) -> tuple:
+    """The quotient graph of the cycle whose positions carry the block
+    labels ``lab``: einsum terms, a vertex vector per block with a loop and
+    an edge matrix per adjacent pair (lower label first), and their keys."""
+    d, blocks = len(lab), max(lab) + 1
+    loops, edges = [0] * blocks, {}
+    for t in range(d):
+        u, v = lab[t], lab[(t + 1) % d]
+        if u == v:
+            loops[u] += 1
+        else:
+            e = (min(u, v), max(u, v))
+            f, r = edges.get(e, (0, 0))
+            edges[e] = (f + 1, r) if u < v else (f, r + 1)
+    terms = ["abcdefgh"[u] for u in range(blocks) if loops[u]]
+    keys = [(loops[u],) for u in range(blocks) if loops[u]]
+    terms += ["abcdefgh"[u] + "abcdefgh"[v] for u, v in edges]
+    keys += list(edges.values())
+    return terms, keys
+
+
+def _shift_network(lab) -> tuple:
+    """The network of ``lab`` with the block labelled 'a', the one that a
+    shift-invariant sum fixes, chosen so that the others cost least: at
+    every block, the program of ``_elimination_path`` with 'a' free, and
+    the one whose step powers, largest first, sort lowest."""
+    nets = []
+    for r in range(max(lab) + 1):
+        terms, keys = _network([r if b == 0 else 0 if b == r else b for b in lab])
+        nets.append((terms, keys, _elimination_path(terms, free="a")))
+    return min(nets, key=lambda net: sorted(net[2][1], reverse=True))
 
 
 @lru_cache(maxsize=None)
-def _moment_plan(d: int) -> tuple:
+def _moment_plan(d: int, shift: bool = False) -> tuple:
     """Everything ``exact_expected_moment`` needs that depends on d alone:
     the dihedral classes of set partitions tau of the d cycle positions,
     weights[k, c], class c's size times the p^k coefficient of its
@@ -438,6 +489,8 @@ def _moment_plan(d: int) -> tuple:
     the real part.  Each class carries its contraction program, compiled
     here once per d: the pairwise steps of ``_elimination_path`` with their
     transposes and axis insertions fixed, so that a call plans nothing.
+    With ``shift`` the programs are those of ``_shift_network``, for a
+    circulant G summed at a = 0 only.
     The G-powers the classes read are listed as (key, prev, step), each
     after its factors, so that a call forms each by one product prev * step
     with step diag(G) (1,), G (1, 0) or conj(G) (0, 1).
@@ -450,27 +503,17 @@ def _moment_plan(d: int) -> tuple:
     weights = np.zeros((d + 1, len(orbits)))
     classes = []
     for c, (lab, size) in enumerate(sorted(orbits.items())):
-        blocks = max(lab) + 1
         poly = (1,)
-        for b in range(blocks):
+        for b in range(max(lab) + 1):
             poly = _poly_mul(poly, _bernoulli_cumulant(lab.count(b)))
         weights[:, c] = [size * float(x) for x in poly]
-        loops, edges = [0] * blocks, {}
-        for t in range(d):
-            u, v = lab[t], lab[(t + 1) % d]
-            if u == v:
-                loops[u] += 1
-            else:
-                e = (min(u, v), max(u, v))
-                f, r = edges.get(e, (0, 0))
-                edges[e] = (f + 1, r) if u < v else (f, r + 1)
-        terms = ["abcdefgh"[u] for u in range(blocks) if loops[u]]
-        keys = [(loops[u],) for u in range(blocks) if loops[u]]
-        terms += ["abcdefgh"[u] + "abcdefgh"[v] for u, v in edges]
-        keys += list(edges.values())
+        if shift:
+            terms, keys, program = _shift_network(lab)
+        else:
+            terms, keys = _network(lab)
+            program = _elimination_path(terms)
         classes.append(_CycleClass(size, ",".join(terms) + "->", tuple(keys),
-                                   tuple(t[0] == "a" for t in terms),
-                                   *_elimination_path(terms)))
+                                   tuple(t[0] == "a" for t in terms), *program))
     weights.flags.writeable = False
     factors = {}
     for key in {key for cls in classes for key in cls.keys}:
@@ -482,11 +525,17 @@ def _moment_plan(d: int) -> tuple:
     return weights, tuple(classes), tuple((key, *factors[key]) for key in sorted(factors))
 
 
-def _exact_work(d: int, n: int) -> int:
+@lru_cache(maxsize=None)
+def _exact_work(d: int, n: int, shift: bool = False) -> int:
     """Multiply-adds of ``exact_expected_moment`` at order d on n vectors,
-    as its einsum steps count them (n to the number of indices a step
-    touches)."""
-    return sum(n ** e for cls in _moment_plan(d)[1] for e in cls.steps)
+    general or shift-invariant, as its steps count them (n to the number
+    of indices a step touches, 'a' left out on the shift-invariant path)."""
+    return sum(n ** e for cls in _moment_plan(d, shift)[1] for e in cls.steps)
+
+
+def _shifts(F: FrameMatrix) -> bool:
+    """Whether ``exact_expected_moment`` takes F's shift-invariant path."""
+    return F.circulant_row is not None
 
 
 def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
@@ -502,28 +551,46 @@ def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
     ``_moment_plan`` compiles once per d: pairwise steps in the
     order of ``_elimination_path``, a BLAS product (matmul or dot) wherever
     a step sums an index of both its operands, a broadcast multiply for a
-    Hadamard or outer product and ``np.add.reduce`` for a one-operand sum.  A call
-    at d = 4 takes about 0.06 ms on DSS(7) and 0.09 ms on DSS(31) (one BLAS
-    thread of a 2-CPU box).  At d <= 7 every step costs at most n^3
-    with n^2 intermediates; the four d = 8 classes whose quotient is K4 with
-    two opposite edges doubled cost n^4 and are sliced along index 'a' to
-    intermediates of ``_SLICE_ELEMENTS``.  Guarded to
-    ``_exact_work(d, n) <= MAX_EXACT_WORK``: n <= 286 at d = 8 (7 to 8 s
-    for DSS(283) on one BLAS thread of a 2-CPU box), n <= 702 at d = 7.
+    Hadamard or outer product and ``np.add.reduce`` for a one-operand sum.
+
+    Two paths, by the frame:
+
+    * General (every frame without ``circulant_row``: a harmonic frame read
+      through ``frameio`` or with permuted columns included).  At d <= 7
+      every step costs at most n^3 with n^2 intermediates; the four d = 8
+      classes whose quotient is K4 with two opposite edges doubled cost n^4
+      and are sliced along index 'a' to intermediates of
+      ``_SLICE_ELEMENTS``.  Reach: n <= 286 at d = 8 (7 to 8 s for
+      DSS(283)), n <= 702 at d = 7.
+    * Shift-invariant (the harmonic constructors ``dss``, ``lowpass_dft``,
+      ``random_spectrum_dft`` and ``complex_paley``, which set the row).
+      Their Gram is circulant, so C_tau is unchanged when every index
+      shifts by one: C_tau is n times its sum at one block's index fixed
+      to 0.  Each class fixes the block whose removal leaves the cheapest
+      program (``_shift_network``) and labels it 'a'; the operands come
+      from the stored row (``_shift_sums``), and no Gram is formed.  Every
+      step costs at most n^2 at d <= 7 and n^3 at d = 8, with n^2
+      intermediates.  Reach: n <= 1962 at d = 8; DSS(863) takes 0.08 s at
+      d = 7 and 0.7 s at d = 8, DSS(283) 0.04 s at d = 8.  Within 1.4e-12
+      of the general path, relative to the largest coefficient.
+
+    A call at d = 4 takes about 0.05 ms on DSS(7) and on DSS(31), against
+    0.10 and 0.14 ms on the general path.  Times are on one BLAS thread of
+    a 2-CPU box.  Guarded to ``_exact_work(d, n, shift) <= MAX_EXACT_WORK``
+    on the frame's path.
     """
-    d = int(d)
-    n = F.n
-    if not 1 <= d <= MAX_EXACT_D:
-        raise ValueError(f"d must be in 1..{MAX_EXACT_D}; got {d}")
-    work = _exact_work(d, n)
+    d = _order(d, MAX_EXACT_D)
+    n, shift = F.n, _shifts(F)
+    work = _exact_work(d, n, shift)
     if work > MAX_EXACT_WORK:
         raise ValueError(f"order {d} on n = {n} vectors needs {work:.2e} "
                          f"multiply-adds, above the guard of {MAX_EXACT_WORK:.0e}")
-    weights, classes, powers = _moment_plan(d)
-    G = gram(F)
-    operands = {(1,): np.diagonal(G), (1, 0): G, (0, 1): G.conj()}
-    for key, prev, step in powers:
-        operands[key] = operands[prev] * operands[step]
+    weights, classes, powers = _moment_plan(d, shift)
+    if shift:  # n times each class's sum at a = 0; the n cancels the 1/n
+        a = weights @ _shift_sums(F.circulant_row, classes, powers)
+        a[0] = 0.0
+        return SubsetMomentPolynomial(d, tuple(a))
+    operands = _g_powers(gram(F), powers)
     sums = np.zeros(len(classes))
     for c, cls in enumerate(classes):
         ops = [operands[key] for key in cls.keys]
@@ -537,6 +604,39 @@ def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
     a = weights @ sums / n
     a[0] = 0.0
     return SubsetMomentPolynomial(d, tuple(a))
+
+
+def _g_powers(G, powers) -> dict:
+    """The plan's elementwise powers of G (or of its first rows) by key."""
+    operands = {(1,): np.diagonal(G), (1, 0): G, (0, 1): G.conj()}
+    for key, prev, step in powers:
+        operands[key] = operands[prev] * operands[step]
+    return operands
+
+
+def _shift_sums(row, classes, powers) -> np.ndarray:
+    """Each class's sum at a = 0 on the circulant Gram with first row
+    ``row``.  An operand that holds 'a' is row 0 of its G-power; any other
+    is the whole power, a circulant gathered from that row, or a constant
+    diagonal.  Only those few powers take n^2 values."""
+    n = len(row)
+    first = _g_powers(row[None, :], powers)
+    wrap = np.arange(n)[None, :] - np.arange(n)[:, None]
+    whole = {}
+    sums = np.zeros(len(classes))
+    for c, cls in enumerate(classes):
+        ops = []
+        for key, cut in zip(cls.keys, cls.sliced):
+            if cut:
+                ops.append(first[key])
+            elif len(key) == 1:
+                ops.append(np.broadcast_to(first[key], (n,)))
+            else:
+                if key not in whole:
+                    whole[key] = np.take(first[key][0], wrap, mode="wrap")
+                ops.append(whole[key])
+        sums[c] = _contract(cls.path, ops).real
+    return sums
 
 
 def all_subsets_expected_moment(F: FrameMatrix, d: int, p: float) -> float:
@@ -575,7 +675,11 @@ def crossing_decay_probe(family: str, sizes, **params) -> list:
     asymptotic moment engine.  Each row also holds, for every d = 4..8 that
     ``exact_expected_moment`` takes at its n, n max_k |a_{d,k}(F) -
     A_{d,k}(x)| with A_{d,k} the p^k coefficient of ``asymptotic_moment(d)``
-    at x = n/m - 1: it levels off for an ETF family and grows otherwise.  A
+    at x = n/m - 1: it levels off for an ETF family and grows otherwise.
+    The orders are those the engine's guard allows on the frame's path:
+    d = 8 along both harness ladders (n <= 1951) for the harmonic families
+    (dss, lowpass_dft, random_spectrum_dft, complex_paley), and for the
+    others d = 8 to n = 286, d = 7 to n = 702 and d = 6 to n = 1055.  A
     size means what it means on a harness ladder (``frames.ladder_dims``,
     gamma = 1/2); ``params`` go to the constructor, such as a random
     family's seed."""
@@ -586,7 +690,7 @@ def crossing_decay_probe(family: str, sizes, **params) -> list:
         value = crossing_term(F)
         gaps = {}
         for d in range(4, MAX_EXACT_D + 1):
-            if _exact_work(d, F.n) <= MAX_EXACT_WORK:
+            if _exact_work(d, F.n, _shifts(F)) <= MAX_EXACT_WORK:
                 pairs = zip(exact_expected_moment(F, d).a, asymptotic_moment(d).blocks)
                 gaps[d] = F.n * float(max(abs(a - _poly_eval(blk, x)) for a, blk in pairs))
         rows.append({

@@ -241,10 +241,12 @@ def run_trials(source, trials: int, statistic, seed=None, path=(),
     defaults to the Gram spectrum (``subset_gram_spectrum``, looked up at
     call time); ``subset_gram_traces`` is the one other.  An empty
     selection has an empty spectrum; under any other measure it raises a
-    ValueError naming the trial.  Trials run one at a time, and trial t
-    draws from derive_rng(seed, *path, t + 1) alone, so its value does not
-    depend on the trials before it.
+    ValueError naming the trial, as does ``trials`` < 1.  Trials run one at
+    a time, and trial t draws from derive_rng(seed, *path, t + 1) alone, so
+    its value does not depend on the trials before it.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial; got trials={trials}")
     if isinstance(source, FrameMatrix):
         F = source
         measure = subset_gram_spectrum if measure is None else measure

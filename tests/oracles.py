@@ -8,8 +8,9 @@ against the MANOVA law by adaptive quadrature, an empirical CDF for
 ``spectra.ks_distance``, and the dense MANOVA-ensemble sampler behind
 ``spectra.sample_manova_ensemble``.  Test inputs close the file: builders
 of a spectrum holding given values, a unit-norm Gaussian frame and a frame
-whose Gram has given eigenvalues, and the frames and subset sizes on which
-the inverse traces are compared with the spectrum.
+whose Gram has given eigenvalues, the frames and subset sizes on which
+the inverse traces are compared with the spectrum, and harmonic frames with
+and without the circulant row.
 """
 
 import itertools
@@ -249,3 +250,35 @@ FRAMES = {
 # (frame, k) with k on both sides of m: the k x k and the m x m Gram
 FRAME_SIDES = [("dss103", 41), ("dss103", 64), ("real_paley101", 41), ("real_paley101", 64),
                ("gaussian_iid", 80), ("gaussian_iid", 125)]
+
+
+def with_row(E, family):
+    """A frame of the entries E with the row conj(f_0) E that the harmonic
+    constructors set."""
+    return fr.FrameMatrix(E, family, circulant_row=E[:, 0].conj() @ E)
+
+
+def without_row(F):
+    """The same entries with no circulant row: the rank-k update path of
+    the subset Gram and the general path of the exact moments."""
+    return fr.FrameMatrix(F.entries, F.family)
+
+
+def shifted_dss(n=103, shift=5):
+    """DSS(n) at the frequencies QR(n) + shift: a modulated harmonic frame."""
+    return with_row(fr._harmonic_frame(n, fr._quadratic_residues(n) + shift), "dss_shifted")
+
+
+def rolled_dss(n=103, shift=7):
+    """DSS(n) with its columns cyclically shifted, so f_0 is complex."""
+    return with_row(np.roll(fr.construct_dss(n).entries, -shift, axis=1), "dss_rolled")
+
+
+HARMONIC = {
+    "dss103": lambda: fr.construct_dss(103),
+    "dss103_shifted": shifted_dss,
+    "dss103_rolled": rolled_dss,
+    "lowpass_dft": lambda: fr.construct_lowpass_dft(104, 52),
+    "random_spectrum_dft": lambda: fr.construct_random_spectrum_dft(104, 52, seed=3),
+    "complex_paley103": lambda: fr.construct_complex_paley(103),
+}

@@ -52,6 +52,10 @@ class TestAmplification:
         with pytest.raises(ValueError, match="need k >= 1; got k=0"):
             cg.empirical_ahmr(fr.construct_dss(7), 0, 3, seed=0)
 
+    def test_empirical_ahmr_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="need at least one trial; got trials=0"):
+            cg.empirical_ahmr(fr.construct_dss(7), 2, 0)
+
     def test_empirical_rejects_beta_above_n_over_m(self):
         model = cg.AmplificationModel("empirical", frame=fr.construct_dss(103), trials=2, seed=0)
         assert math.isfinite(cg.amplification(model, 103 / 51, 0.4))
@@ -227,6 +231,11 @@ class TestMlie:
         res = cg.mlie(F, 6, mode="exact")
         assert res.value == pytest.approx(0.0, abs=1e-10)
         assert res.divergent == 0
+
+    def test_montecarlo_rejects_zero_trials(self):
+        # no pattern at all, not "every pattern diverged"
+        with pytest.raises(ValueError, match="need at least one trial; got trials=0"):
+            cg.mlie(fr.construct_dss(7), 2, "montecarlo", 0)
 
     def test_dss7_pairs_all_identical(self):
         # equiangularity: every 2-subset Gram is [[1, c], [c*, 1]], so

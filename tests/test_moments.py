@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from etfspectra import frames as fr
 from etfspectra import moments as mo
-from etfspectra.manova import ManovaParams, manova_moment_numeric
-from oracles import (catalan, contract_cycle, is_noncrossing, narayana,
-                     tuple_expected_moment, unit_norm_gaussian)
+from etfspectra.manova import ManovaParams, manova_moment_closed, manova_moment_numeric
+from oracles import (HARMONIC, catalan, contract_cycle, is_noncrossing, narayana,
+                     rolled_dss, shifted_dss, tuple_expected_moment, unit_norm_gaussian,
+                     without_row)
 
 
 def all_set_partitions(elements):
@@ -300,6 +301,140 @@ class TestExactExpectedMoment:
         assert len(classes) == {4: 7, 6: 37, 8: 354}.get(d, len(classes))
 
 
+def general_path_only(monkeypatch):
+    """Make the shift-invariant plan raise, so that a call passes only on
+    the general path."""
+    plan = mo._moment_plan
+
+    def general(d, shift=False):
+        assert not shift, "took the shift-invariant path"
+        return plan(d)
+
+    monkeypatch.setattr(mo, "_moment_plan", general)
+
+
+class TestShiftInvariantPath:
+    @pytest.mark.parametrize("frame", HARMONIC)
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_equals_general_path(self, frame, d):
+        F = HARMONIC[frame]()
+        got = np.array(mo.exact_expected_moment(F, d).a)
+        want = np.array(mo.exact_expected_moment(without_row(F), d).a)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_equals_general_path_at_dss199(self, d):
+        F = fr.construct_dss(199)
+        got = np.array(mo.exact_expected_moment(F, d).a)
+        want = np.array(mo.exact_expected_moment(without_row(F), d).a)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("F", [
+        fr.construct_dss(19), shifted_dss(19, 3), rolled_dss(19, 4),
+        fr.construct_lowpass_dft(20, 7), fr.construct_random_spectrum_dft(20, 9, seed=1),
+        fr.construct_complex_paley(23),
+    ], ids=["dss19", "dss19_shifted", "dss19_rolled", "lowpass20", "random_spectrum20",
+            "complex_paley23"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_tuple_oracle(self, F, d):
+        assert F.circulant_row is not None
+        got = np.array(mo.exact_expected_moment(F, d).a)
+        assert np.max(np.abs(got - tuple_expected_moment(fr.gram(F), d))) <= 1e-12
+
+    @pytest.mark.parametrize("build", [
+        lambda: fr.FrameMatrix(fr.construct_dss(31).entries[:, np.random.default_rng(5)
+                                                            .permutation(31)], "dss"),
+        "loaded_dss31",
+        lambda: fr.construct_spikes_sines(8),
+        lambda: fr.construct_real_paley(13),
+        lambda: fr.construct_random("gaussian_iid", 12, 5, seed=2),
+    ], ids=["dss31_permuted", "dss31_loaded", "spikes_sines8", "paley13", "gaussian12"])
+    def test_other_frames_take_the_general_path(self, build, tmp_path, monkeypatch):
+        from etfspectra import frameio
+
+        if build == "loaded_dss31":
+            frameio.save_frame(fr.construct_dss(31), str(tmp_path / "dss.json"))
+            F = frameio.load_frame(str(tmp_path / "dss.json"))
+        else:
+            F = build()
+        assert F.circulant_row is None
+        first = [mo.exact_expected_moment(F, d) for d in (4, 8)]
+        general_path_only(monkeypatch)
+        assert [mo.exact_expected_moment(F, d) for d in (4, 8)] == first
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_program_is_the_contraction(self, d):
+        # each class's shift-invariant program, relabelled, against the
+        # einsum of the class's general network, on a Gram that is not circulant
+        G = fr.gram(fr.construct_random("haar_complex", 9, 5, seed=3))
+
+        def operands(cls):
+            return [np.diagonal(G) ** key[0] if len(key) == 1
+                    else G ** key[0] * G.conj() ** key[1] for key in cls.keys]
+
+        for cls, shift in zip(mo._moment_plan(d)[1], mo._moment_plan(d, True)[1]):
+            assert shift.size == cls.size
+            want = np.einsum(cls.subs, *operands(cls))
+            got = mo._contract(shift.path, operands(shift))
+            assert abs(got - want) <= 1e-12 * abs(want), (cls.subs, shift.subs)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_steps_and_intermediates(self, d):
+        # with 'a' fixed, no step costs more than n^3 (n^2 below d = 8) and
+        # no intermediate holds more than n^2 values
+        classes = mo._moment_plan(d, True)[1]
+        assert max(e for cls in classes for e in cls.steps) <= (3 if d == 8 else 2)
+        assert max(cls.rank for cls in classes) <= 2
+        for cls in classes:
+            assert all(t[0] == "a" for t, cut in zip(cls.subs[:-2].split(","), cls.sliced) if cut)
+            assert "a" not in "".join(t for t, cut in zip(cls.subs[:-2].split(","), cls.sliced)
+                                      if not cut)
+
+    def test_guard(self):
+        # the general count is unchanged; the shift-invariant one reaches
+        # DSS(863) at d = 8 and stops at n = 1962
+        assert mo._exact_work(7, 702) <= mo.MAX_EXACT_WORK < mo._exact_work(7, 703)
+        assert mo._exact_work(8, 1962, True) <= mo.MAX_EXACT_WORK < mo._exact_work(8, 1963, True)
+        F = fr.construct_lowpass_dft(1963, 4)
+        with pytest.raises(ValueError, match="above the guard"):
+            mo.exact_expected_moment(F, 8)
+        with pytest.raises(ValueError, match="above the guard"):
+            mo.exact_expected_moment(without_row(fr.construct_dss(863)), 7)
+
+    def test_dss863_at_order_7(self):
+        F = fr.construct_dss(863)
+        poly = mo.exact_expected_moment(F, 7)
+        x = F.n / F.m - 1.0
+        assert poly.a[0] == 0.0 and poly.a[1] == pytest.approx(1.0, abs=1e-12)
+        # the p = 1 identity of a tight frame: m_7(1) = (x + 1)^6
+        assert poly.evaluate(1.0) == pytest.approx((x + 1) ** 6, rel=1e-12)
+
+    def test_probe_reaches_order_8_on_harmonic_frames(self):
+        (dss,) = mo.crossing_decay_probe("dss", [431])
+        assert sorted(dss["n_times_gap"]) == [4, 5, 6, 7, 8]
+        (gaussian,) = mo.crossing_decay_probe("gaussian_iid", [290], seed=0)
+        assert sorted(gaussian["n_times_gap"]) == [4, 5, 6, 7]
+
+
+class TestOrderValidation:
+    @pytest.mark.parametrize("call", [
+        lambda d: mo.exact_expected_moment(fr.construct_dss(7), d),
+        lambda d: mo.asymptotic_moment(d),
+        lambda d: mo.partition_census(d),
+        lambda d: mo.empirical_moment(fr.construct_dss(7), d, 4, seed=0, p=0.5),
+        lambda d: manova_moment_closed(d, ManovaParams(0.8, 0.5)),
+    ], ids=["exact", "asymptotic", "census", "empirical", "manova_closed"])
+    @pytest.mark.parametrize("d", [4.5, 2.5, "4", None, float("nan")])
+    def test_non_integer_order_raises(self, call, d):
+        with pytest.raises(ValueError, match=f"got {d}"):
+            call(d)
+
+    def test_integral_values_are_orders(self):
+        F = fr.construct_dss(7)
+        assert mo.exact_expected_moment(F, np.int64(4)) == mo.exact_expected_moment(F, 4.0)
+        assert mo.asymptotic_moment(4.0) == mo.asymptotic_moment(4)
+
+
 class TestTupleOracle:
     def test_guard(self):
         G = fr.gram(fr.construct_random("gaussian_iid", 200, 100, seed=0))
@@ -373,6 +508,11 @@ class TestEmpiricalMoment:
         F = fr.construct_dss(11)
         mean, stderr = mo.empirical_moment(F, 1, trials=50, seed=2, k=4)
         assert mean == pytest.approx(4 / 11, abs=1e-9)  # trace identity, no MC noise
+
+    def test_zero_trials_raises(self):
+        F = fr.construct_dss(7)
+        with pytest.raises(ValueError, match="need at least one trial; got trials=0"):
+            mo.empirical_moment(F, 2, 0, p=0.5)
 
     def test_argument_validation(self):
         F = fr.construct_dss(7)

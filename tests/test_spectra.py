@@ -11,8 +11,8 @@ from etfspectra import frames as fr
 from etfspectra import spectra as sp
 from etfspectra.manova import ManovaDistribution, ManovaParams
 from etfspectra.rng import derive_rng
-from oracles import (FRAME_SIDES, FRAMES, dense_manova_ensemble, empirical_cdf,
-                     frame_with_gram_eigenvalues, spectrum)
+from oracles import (FRAME_SIDES, FRAMES, HARMONIC, dense_manova_ensemble, empirical_cdf,
+                     frame_with_gram_eigenvalues, spectrum, without_row)
 
 
 class TestSelect:
@@ -96,41 +96,10 @@ class TestSubsetGramSpectrum:
         assert spec.eigenvalues == pytest.approx([1 - w, 1 + w], abs=1e-10)
 
 
-def with_row(E, family):
-    """A frame of the entries E with the row conj(f_0) E that the harmonic
-    constructors set."""
-    return fr.FrameMatrix(E, family, circulant_row=E[:, 0].conj() @ E)
-
-
-def without_row(F):
-    """The same entries with no circulant row: the rank-k update path."""
-    return fr.FrameMatrix(F.entries, F.family)
-
-
 def full_lower(G):
     """The Hermitian matrix whose lower triangle G holds."""
     L = np.tril(G)
     return L + np.tril(L, -1).conj().T
-
-
-def _shifted_dss(n=103, shift=5):
-    """DSS(n) at the frequencies QR(n) + shift: a modulated harmonic frame."""
-    return with_row(fr._harmonic_frame(n, fr._quadratic_residues(n) + shift), "dss_shifted")
-
-
-def _rolled_dss(n=103, shift=7):
-    """DSS(n) with its columns cyclically shifted, so f_0 is complex."""
-    return with_row(np.roll(fr.construct_dss(n).entries, -shift, axis=1), "dss_rolled")
-
-
-HARMONIC = {
-    "dss103": lambda: fr.construct_dss(103),
-    "dss103_shifted": _shifted_dss,
-    "dss103_rolled": _rolled_dss,
-    "lowpass_dft": lambda: fr.construct_lowpass_dft(104, 52),
-    "random_spectrum_dft": lambda: fr.construct_random_spectrum_dft(104, 52, seed=3),
-    "complex_paley103": lambda: fr.construct_complex_paley(103),
-}
 
 
 class TestCirculantGather:
@@ -477,6 +446,15 @@ class TestRunTrials:
         F = fr.construct_dss(7)
         (spec,) = sp.run_trials(F, 1, lambda s: s, seed=0, p=0.0)
         assert (spec.k, len(spec.eigenvalues)) == (0, 0)
+
+    @pytest.mark.parametrize("source, kw", [(fr.construct_dss(7), {"k": 3}),
+                                            (fr.construct_dss(7), {"p": 0.5}),
+                                            ((11, 5, "real"), {"k": 3})],
+                             ids=["frame_k", "frame_p", "ensemble"])
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_raises(self, source, kw, trials):
+        with pytest.raises(ValueError, match=f"need at least one trial; got trials={trials}"):
+            sp.run_trials(source, trials, len, seed=0, **kw)
 
     def test_empty_draw_under_traces_names_the_trial(self):
         # Bernoulli(0.05) on 14 columns leaves some trials empty; the traces
