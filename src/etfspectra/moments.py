@@ -462,10 +462,10 @@ def _network(lab) -> tuple:
 
 
 def _shift_network(lab) -> tuple:
-    """The network of ``lab`` with the block labelled 'a', the one that a
-    shift-invariant sum fixes, chosen so that the others cost least: at
-    every block, the program of ``_elimination_path`` with 'a' free, and
-    the one whose step powers, largest first, sort lowest."""
+    """The network of ``lab`` with 'a' on the block that the shift-invariant
+    sum fixes, and its program (``_elimination_path`` with 'a' free).  Each
+    block is tried as 'a'; the program whose step powers, largest first,
+    sort lowest wins, the first block among equals."""
     nets = []
     for r in range(max(lab) + 1):
         terms, keys = _network([r if b == 0 else 0 if b == r else b for b in lab])

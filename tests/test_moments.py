@@ -301,6 +301,13 @@ class TestExactExpectedMoment:
         assert len(classes) == {4: 7, 6: 37, 8: 354}.get(d, len(classes))
 
 
+def saved_and_loaded(F, path):
+    from etfspectra import frameio
+
+    frameio.save_frame(F, str(path))
+    return frameio.load_frame(str(path))
+
+
 def general_path_only(monkeypatch):
     """Make the shift-invariant plan raise, so that a call passes only on
     the general path."""
@@ -342,21 +349,15 @@ class TestShiftInvariantPath:
         assert np.max(np.abs(got - tuple_expected_moment(fr.gram(F), d))) <= 1e-12
 
     @pytest.mark.parametrize("build", [
-        lambda: fr.FrameMatrix(fr.construct_dss(31).entries[:, np.random.default_rng(5)
-                                                            .permutation(31)], "dss"),
-        "loaded_dss31",
-        lambda: fr.construct_spikes_sines(8),
-        lambda: fr.construct_real_paley(13),
-        lambda: fr.construct_random("gaussian_iid", 12, 5, seed=2),
+        lambda _: fr.FrameMatrix(fr.construct_dss(31).entries[:, np.random.default_rng(5)
+                                                              .permutation(31)], "dss"),
+        lambda tmp_path: saved_and_loaded(fr.construct_dss(31), tmp_path / "dss.json"),
+        lambda _: fr.construct_spikes_sines(8),
+        lambda _: fr.construct_real_paley(13),
+        lambda _: fr.construct_random("gaussian_iid", 12, 5, seed=2),
     ], ids=["dss31_permuted", "dss31_loaded", "spikes_sines8", "paley13", "gaussian12"])
     def test_other_frames_take_the_general_path(self, build, tmp_path, monkeypatch):
-        from etfspectra import frameio
-
-        if build == "loaded_dss31":
-            frameio.save_frame(fr.construct_dss(31), str(tmp_path / "dss.json"))
-            F = frameio.load_frame(str(tmp_path / "dss.json"))
-        else:
-            F = build()
+        F = build(tmp_path)
         assert F.circulant_row is None
         first = [mo.exact_expected_moment(F, d) for d in (4, 8)]
         general_path_only(monkeypatch)
