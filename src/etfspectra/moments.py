@@ -16,7 +16,8 @@ live here:
   with a circulant Gram (the harmonic constructors') sums each class with
   one index fixed, by shift invariance.  ``MAX_EXACT_WORK`` caps its
   multiply-adds, which allows n <= 286 at d = 8 in general and n <= 1962
-  on a circulant Gram,
+  on a circulant Gram, and ``MAX_EXACT_BYTES`` the bytes of its n-by-n
+  operands,
 * ``all_subsets_expected_moment`` averages subset Gram traces over all 2^n
   erasure patterns (the independent oracle),
 * ``asymptotic_moment`` evaluates the n -> infinity polynomial for
@@ -61,12 +62,14 @@ __all__ = [
     "crossing_decay_probe",
     "MAX_EXACT_D",
     "MAX_EXACT_WORK",
+    "MAX_EXACT_BYTES",
     "MAX_PARTITION_D",
     "MAX_ASYMPTOTIC_D",
 ]
 
 MAX_EXACT_D = 8
 MAX_EXACT_WORK = 4 * 10 ** 10
+MAX_EXACT_BYTES = 1 << 31
 _SLICE_ELEMENTS = 1 << 20  # intermediates of the general exact path stay within this
 MAX_PARTITION_D = 14
 MAX_ASYMPTOTIC_D = 12
@@ -533,6 +536,46 @@ def _exact_work(d: int, n: int, shift: bool = False) -> int:
     return sum(n ** e for cls in _moment_plan(d, shift)[1] for e in cls.steps)
 
 
+def _chunk(rank: int, n: int) -> int:
+    """Values of 'a' per slice on the general path for a class whose largest
+    intermediate has ``rank`` indices: n, unless that keeps more than
+    ``_SLICE_ELEMENTS`` values."""
+    return min(n, max(1, _SLICE_ELEMENTS // n ** max(rank - 1, 0)))
+
+
+@lru_cache(maxsize=None)
+def _exact_bytes(d: int, n: int, shift: bool = False) -> int:
+    """Bytes that ``exact_expected_moment`` holds at once at order d on n
+    vectors, 16 per value (complex): on the general path the Gram, its
+    conjugate and every G-power that is a matrix; on the shift-invariant
+    path the whole powers it gathers from the row; on either a vector of n
+    per G-power and four of the largest intermediate (a step's operands,
+    its transposed copies and its result)."""
+    _, classes, powers = _moment_plan(d, shift)
+    if shift:
+        matrices = len({key for cls in classes for key, cut in zip(cls.keys, cls.sliced)
+                        if len(key) == 2 and not cut})
+        largest = max(n ** cls.rank for cls in classes)
+    else:
+        matrices = 2 + sum(len(key) == 2 for key, _, _ in powers)
+        largest = max(_chunk(cls.rank, n) * n ** max(cls.rank - 1, 0) for cls in classes)
+    return 16 * (matrices * n * n + (len(powers) + 3) * n + 4 * largest)
+
+
+@lru_cache(maxsize=None)
+def _refusal(d: int, n: int, shift: bool) -> str:
+    """Why ``exact_expected_moment`` refuses order d on n vectors on the
+    given path, or "" if its guards admit the call."""
+    work, size = _exact_work(d, n, shift), _exact_bytes(d, n, shift)
+    if work > MAX_EXACT_WORK:
+        return (f"order {d} on n = {n} vectors needs {work:.2e} "
+                f"multiply-adds, above the guard of {MAX_EXACT_WORK:.0e}")
+    if size > MAX_EXACT_BYTES:
+        return (f"order {d} on n = {n} vectors holds {size:.2e} bytes "
+                f"of operands, above the guard of {MAX_EXACT_BYTES:.2e}")
+    return ""
+
+
 def _shifts(F: FrameMatrix) -> bool:
     """Whether ``exact_expected_moment`` takes F's shift-invariant path."""
     return F.circulant_row is not None
@@ -570,21 +613,26 @@ def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
       program (``_shift_network``) and labels it 'a'; the operands come
       from the stored row (``_shift_sums``), and no Gram is formed.  Every
       step costs at most n^2 at d <= 7 and n^3 at d = 8, with n^2
-      intermediates.  Reach: n <= 1962 at d = 8; DSS(863) takes 0.08 s at
-      d = 7 and 0.7 s at d = 8, DSS(283) 0.04 s at d = 8.  Within 1.4e-12
-      of the general path, relative to the largest coefficient.
+      intermediates.  Reach: n <= 1962 at d = 8, 4727 at d = 7; DSS(863)
+      takes 0.08 s at d = 7 and 0.7 s at d = 8, DSS(283) 0.04 s at d = 8.
+      Within 1.4e-12 of the general path, relative to the largest
+      coefficient.
 
     A call at d = 4 takes about 0.05 ms on DSS(7) and on DSS(31), against
     0.10 and 0.14 ms on the general path.  Times are on one BLAS thread of
-    a 2-CPU box.  Guarded to ``_exact_work(d, n, shift) <= MAX_EXACT_WORK``
-    on the frame's path.
+    a 2-CPU box.  Guarded, on the frame's path and before any array is
+    formed, to ``_exact_work(d, n, shift) <= MAX_EXACT_WORK`` multiply-adds
+    and ``_exact_bytes(d, n, shift) <= MAX_EXACT_BYTES`` (2 GiB) of
+    operands and intermediates.  The work binds at d = 8 on either path
+    and at d >= 3 on the general one; the bytes bind elsewhere: n <= 6687
+    at d = 2 on the general path, and on the shift-invariant one n <= 11577
+    to 11580 at d = 3 to 5, 5178 at d = 6 and 4727 at d = 7.
     """
     d = _order(d, MAX_EXACT_D)
     n, shift = F.n, _shifts(F)
-    work = _exact_work(d, n, shift)
-    if work > MAX_EXACT_WORK:
-        raise ValueError(f"order {d} on n = {n} vectors needs {work:.2e} "
-                         f"multiply-adds, above the guard of {MAX_EXACT_WORK:.0e}")
+    refusal = _refusal(d, n, shift)
+    if refusal:
+        raise ValueError(refusal)
     weights, classes, powers = _moment_plan(d, shift)
     if shift:  # n times each class's sum at a = 0; the n cancels the 1/n
         a = weights @ _shift_sums(F.circulant_row, classes, powers)
@@ -594,7 +642,7 @@ def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
     sums = np.zeros(len(classes))
     for c, cls in enumerate(classes):
         ops = [operands[key] for key in cls.keys]
-        chunk = max(1, _SLICE_ELEMENTS // n ** max(cls.rank - 1, 0))
+        chunk = _chunk(cls.rank, n)
         if chunk >= n:
             sums[c] = _contract(cls.path, ops).real
         else:
@@ -621,7 +669,6 @@ def _shift_sums(row, classes, powers) -> np.ndarray:
     diagonal.  Only those few powers take n^2 values."""
     n = len(row)
     first = _g_powers(row[None, :], powers)
-    wrap = np.arange(n)[None, :] - np.arange(n)[:, None]
     whole = {}
     sums = np.zeros(len(classes))
     for c, cls in enumerate(classes):
@@ -633,10 +680,20 @@ def _shift_sums(row, classes, powers) -> np.ndarray:
                 ops.append(np.broadcast_to(first[key], (n,)))
             else:
                 if key not in whole:
-                    whole[key] = np.take(first[key][0], wrap, mode="wrap")
+                    whole[key] = _circulant(first[key][0])
                 ops.append(whole[key])
         sums[c] = _contract(cls.path, ops).real
     return sums
+
+
+def _circulant(row) -> np.ndarray:
+    """The circulant matrix C[i, j] = row[(j - i) % n], copied from a strided
+    view of the row with its tail in front: row i of C starts i places
+    before row[0] there."""
+    n = len(row)
+    ext = np.concatenate((row[1:], row))
+    step = ext.strides[0]
+    return np.lib.stride_tricks.as_strided(ext[n - 1:], (n, n), (-step, step)).copy()
 
 
 def all_subsets_expected_moment(F: FrameMatrix, d: int, p: float) -> float:
@@ -676,7 +733,7 @@ def crossing_decay_probe(family: str, sizes, **params) -> list:
     ``exact_expected_moment`` takes at its n, n max_k |a_{d,k}(F) -
     A_{d,k}(x)| with A_{d,k} the p^k coefficient of ``asymptotic_moment(d)``
     at x = n/m - 1: it levels off for an ETF family and grows otherwise.
-    The orders are those the engine's guard allows on the frame's path:
+    The orders are those the engine's guards allow on the frame's path:
     d = 8 along both harness ladders (n <= 1951) for the harmonic families
     (dss, lowpass_dft, random_spectrum_dft, complex_paley), and for the
     others d = 8 to n = 286, d = 7 to n = 702 and d = 6 to n = 1055.  A
@@ -690,7 +747,7 @@ def crossing_decay_probe(family: str, sizes, **params) -> list:
         value = crossing_term(F)
         gaps = {}
         for d in range(4, MAX_EXACT_D + 1):
-            if _exact_work(d, F.n, _shifts(F)) <= MAX_EXACT_WORK:
+            if not _refusal(d, F.n, _shifts(F)):
                 pairs = zip(exact_expected_moment(F, d).a, asymptotic_moment(d).blocks)
                 gaps[d] = F.n * float(max(abs(a - _poly_eval(blk, x)) for a, blk in pairs))
         rows.append({

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -256,8 +257,9 @@ class TestExactExpectedMoment:
                 mo.all_subsets_expected_moment(F, d, p), abs=1e-9)
 
     def test_slicing_leaves_the_coefficients(self, monkeypatch):
-        # DSS(11) at d = 8 in slices of one index value for the K4 classes
-        F = fr.construct_dss(11)
+        # DSS(11) at d = 8 on the general path, in slices of one index value
+        # for the K4 classes (the shift-invariant path never slices)
+        F = without_row(fr.construct_dss(11))
         whole = np.array(mo.exact_expected_moment(F, 8).a)
         monkeypatch.setattr(mo, "_SLICE_ELEMENTS", 64)
         sliced = np.array(mo.exact_expected_moment(F, 8).a)
@@ -277,8 +279,9 @@ class TestExactExpectedMoment:
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_repeated_call_plans_nothing(self, d, monkeypatch):
-        F = fr.construct_dss(7)
-        first = mo.exact_expected_moment(F, d)
+        # DSS(7) on the shift-invariant path and, without its row, the general one
+        frames = [fr.construct_dss(7), without_row(fr.construct_dss(7))]
+        first = [mo.exact_expected_moment(F, d) for F in frames]
         einsum = np.einsum
 
         def planning(*args, **kwargs):
@@ -292,7 +295,7 @@ class TestExactExpectedMoment:
         monkeypatch.setattr(mo, "_elimination_path", planning)
         monkeypatch.setattr(np, "einsum_path", planning)
         monkeypatch.setattr(np, "einsum", einsum_without_path)
-        assert mo.exact_expected_moment(F, d) == first
+        assert [mo.exact_expected_moment(F, d) for F in frames] == first
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_class_sizes_sum_to_bell(self, d):
@@ -401,6 +404,42 @@ class TestShiftInvariantPath:
             mo.exact_expected_moment(F, 8)
         with pytest.raises(ValueError, match="above the guard"):
             mo.exact_expected_moment(without_row(fr.construct_dss(863)), 7)
+
+    @pytest.mark.parametrize("build, d", [
+        (lambda: fr.construct_lowpass_dft(18000, 4), 7),
+        (lambda: fr.construct_lowpass_dft(20000, 4), 4),
+        (lambda: fr.construct_random("gaussian_iid", 8000, 2, seed=0), 2),
+    ], ids=["lowpass18000_d7", "lowpass20000_d4", "gaussian8000_d2"])
+    def test_memory_guard_refuses_before_allocating(self, build, d):
+        # narrow frames whose work passes MAX_EXACT_WORK but whose n-by-n
+        # operands would take gigabytes: refused with next to nothing allocated
+        F = build()
+        shift = F.circulant_row is not None
+        assert mo._exact_work(d, F.n, shift) <= mo.MAX_EXACT_WORK
+        assert mo._exact_bytes(d, F.n, shift) > mo.MAX_EXACT_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="bytes of operands, above the guard"):
+                mo.exact_expected_moment(F, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("shift", [True, False], ids=["shift", "general"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_byte_count_bounds_the_peak(self, d, shift):
+        # the guard's byte count against the largest traced allocation of a call
+        F = fr.construct_lowpass_dft(300 if shift else 120, 4)
+        F = F if shift else without_row(F)
+        first = mo.exact_expected_moment(F, d)
+        tracemalloc.start()
+        try:
+            assert mo.exact_expected_moment(F, d) == first
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mo._exact_bytes(d, F.n, shift)
 
     def test_dss863_at_order_7(self):
         F = fr.construct_dss(863)
