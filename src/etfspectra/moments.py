@@ -624,9 +624,10 @@ def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
     formed, to ``_exact_work(d, n, shift) <= MAX_EXACT_WORK`` multiply-adds
     and ``_exact_bytes(d, n, shift) <= MAX_EXACT_BYTES`` (2 GiB) of
     operands and intermediates.  The work binds at d = 8 on either path
-    and at d >= 3 on the general one; the bytes bind elsewhere: n <= 6687
-    at d = 2 on the general path, and on the shift-invariant one n <= 11577
-    to 11580 at d = 3 to 5, 5178 at d = 6 and 4727 at d = 7.
+    and at d >= 3 on the general one; the bytes bind elsewhere: n <= 8190
+    at d = 1 and 6687 at d = 2 on the general path, and on the
+    shift-invariant one n <= 11577 to 11580 at d = 3 to 5, 5178 at d = 6
+    and 4727 at d = 7 (at d <= 2 it holds no n-by-n operand).
     """
     d = _order(d, MAX_EXACT_D)
     n, shift = F.n, _shifts(F)
