@@ -253,11 +253,12 @@ def manova_moment_numeric(d: int, params: ManovaParams) -> float:
     stripped-zero (gamma, p) law; equals p times the beta-normalized
     moment without the mass at zero.
 
-    d = -1 is the inverse moment and needs beta < 1.
+    d = -1 is the inverse moment and needs beta < 1; any other d below -1,
+    or a non-integer d, is a ValueError naming it.
     """
-    d = int(d)
-    if d < -1:
-        raise ValueError("only d >= -1 is supported")
+    from .moments import _order
+
+    d = _order(d, bottom=-1)
     if d == -1 and not params.beta < 1.0:
         raise ValueError("d = -1 requires beta < 1")
     law = ManovaDistribution(params)

@@ -75,16 +75,17 @@ MAX_PARTITION_D = 14
 MAX_ASYMPTOTIC_D = 12
 
 
-def _order(d, top: int | None = None) -> int:
-    """The moment order d as an int, at least 1 and at most ``top``; any
-    other d, 4.5 included, is a ValueError naming it."""
+def _order(d, top: int | None = None, bottom: int = 1) -> int:
+    """The moment order d as an int, at least ``bottom`` and at most
+    ``top``; any other d, 4.5 included, is a ValueError naming it."""
     try:
         order = int(d)
     except (TypeError, ValueError, OverflowError):
         order = None
-    if order is None or order != d or order < 1 or (top is not None and order > top):
-        raise ValueError(f"d must be in 1..{top}; got {d}" if top is not None
-                         else f"d must be a positive integer; got {d}")
+    if order is None or order != d or order < bottom or (top is not None and order > top):
+        raise ValueError(f"d must be in {bottom}..{top}; got {d}" if top is not None
+                         else f"d must be a positive integer; got {d}" if bottom == 1
+                         else f"d must be an integer >= {bottom}; got {d}")
     return order
 
 

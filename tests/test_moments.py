@@ -463,7 +463,8 @@ class TestOrderValidation:
         lambda d: mo.partition_census(d),
         lambda d: mo.empirical_moment(fr.construct_dss(7), d, 4, seed=0, p=0.5),
         lambda d: manova_moment_closed(d, ManovaParams(0.8, 0.5)),
-    ], ids=["exact", "asymptotic", "census", "empirical", "manova_closed"])
+        lambda d: manova_moment_numeric(d, ManovaParams(0.8, 0.5)),
+    ], ids=["exact", "asymptotic", "census", "empirical", "manova_closed", "manova_numeric"])
     @pytest.mark.parametrize("d", [4.5, 2.5, "4", None, float("nan")])
     def test_non_integer_order_raises(self, call, d):
         with pytest.raises(ValueError, match=f"got {d}"):
@@ -473,6 +474,13 @@ class TestOrderValidation:
         F = fr.construct_dss(7)
         assert mo.exact_expected_moment(F, np.int64(4)) == mo.exact_expected_moment(F, 4.0)
         assert mo.asymptotic_moment(4.0) == mo.asymptotic_moment(4)
+        params = ManovaParams(0.8, 0.5)
+        assert manova_moment_numeric(2.0, params) == manova_moment_numeric(2, params)
+        assert manova_moment_numeric(np.int64(-1), params) == manova_moment_numeric(-1, params)
+
+    def test_numeric_manova_moment_starts_at_the_inverse(self):
+        with pytest.raises(ValueError, match="d must be an integer >= -1; got -2"):
+            manova_moment_numeric(-2, ManovaParams(0.8, 0.5))
 
 
 class TestTupleOracle:

@@ -314,6 +314,7 @@ class TestKsDistance:
 # fixed before the first run
 KS_DRAWS = 2000
 KS_LEVEL = 1e-3  # per statistic, four statistics per case
+INVERSE_DRAWS = 8000  # per case of the exact inverse-mean gate
 
 
 def _sampled(n, m, k, field, rng):
@@ -386,23 +387,54 @@ class TestManovaEnsemble:
         if r > n - c:  # p + gamma > 1: r - (n - c) = 15 values sit at the top edge n/m
             assert np.all(np.sum(np.isclose(got, n / m, rtol=1e-12), axis=1) == 15)
 
-    def test_ks_rejects_a_chi_shifted_sampler(self):
-        # the same kernel with one more degree of freedom on every chi of B's
-        # Bartlett factor (an off-by-one in its formula) must fail the test above
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("call", [0, 1, 2], ids=["V-diagonal", "V-superdiagonal", "R-diagonal"])
+    def test_ks_rejects_a_chi_shifted_sampler(self, call, field):
+        # the same kernel with one more degree of freedom on every chi of one
+        # chisquare call (an off-by-one in that formula): the diagonal or the
+        # superdiagonal of BB''s bidiagonal factor V, or the diagonal of AA''s
+        # Bartlett factor R, must fail the test above
         class ShiftedChi(np.random.Generator):
-            shifted = False
+            calls = 0
 
             def chisquare(self, df, size=None):
-                df = np.asarray(df) + (0 if self.shifted else 1)
-                self.shifted = True
+                df = np.asarray(df) + (self.calls == call)
+                self.calls += 1
                 return super().chisquare(df, size)
 
         def shifted(n, m, k, field, rng):
             return _sampled(n, m, k, field, ShiftedChi(rng.bit_generator))
 
-        got = _ensemble_draws(shifted, 60, 30, 20, "real", derive_rng(20))
-        want = _ensemble_draws(_dense_clamped, 60, 30, 20, "real", derive_rng(21))
+        got = _ensemble_draws(shifted, 60, 30, 20, field, derive_rng(20))
+        want = _ensemble_draws(_dense_clamped, 60, 30, 20, field, derive_rng(21))
         assert min(_ks_pvalues(got, want)) < KS_LEVEL
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    @pytest.mark.parametrize("n, m, k", [(60, 30, 20), (40, 25, 10), (103, 51, 41)])
+    def test_mean_inverse_matches_exact_value(self, field, n, m, k):
+        # tr W^-1 = (m/n)(k + tr AA'(BB')^-1) and E(BB')^-1 = I/(m - k)
+        # (complex) or I/(m - k - 1) (real), so at every finite size
+        # E[mean 1/lambda] = (m/n)(n - k - s)/(m - k - s), s = 0 or 1;
+        # draws, seeds and the 4 SE level fixed before the first run
+        s = 0 if field == "complex" else 1
+        exact = (m / n) * (n - k - s) / (m - k - s)
+        rng = derive_rng(15, n, m, k, s)
+        x = np.array([(1.0 / sp.sample_manova_ensemble(n, m, k, field, rng).eigenvalues).mean()
+                      for _ in range(INVERSE_DRAWS)])
+        assert abs(x.mean() - exact) < 4 * x.std(ddof=1) / math.sqrt(len(x))
+
+    @pytest.mark.parametrize("n, m, k, name", [(100.7, 50, 40, "n"), (100, 50.5, 40, "m"),
+                                               (100, 50, "40", "k"), (100, 50, None, "k"),
+                                               (float("nan"), 50, 40, "n")])
+    def test_non_integer_counts_raise(self, n, m, k, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer; got"):
+            sp.sample_manova_ensemble(n, m, k, "complex", derive_rng(4))
+
+    def test_integral_counts_are_counts(self):
+        got = sp.sample_manova_ensemble(100.0, np.int64(50), 40.0, "complex", derive_rng(4))
+        want = sp.sample_manova_ensemble(100, 50, 40, "complex", derive_rng(4))
+        assert (got.m, got.k) == (50, 40)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
 
     def test_deterministic_given_seed(self):
         a = sp.sample_manova_ensemble(60, 30, 24, "complex", derive_rng(8))
