@@ -84,7 +84,6 @@ def _order(d, top: int | None = None, bottom: int = 1) -> int:
         order = None
     if order is None or order != d or order < bottom or (top is not None and order > top):
         raise ValueError(f"d must be in {bottom}..{top}; got {d}" if top is not None
-                         else f"d must be a positive integer; got {d}" if bottom == 1
                          else f"d must be an integer >= {bottom}; got {d}")
     return order
 

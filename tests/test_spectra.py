@@ -391,9 +391,9 @@ class TestManovaEnsemble:
     @pytest.mark.parametrize("call", [0, 1, 2], ids=["V-diagonal", "V-superdiagonal", "R-diagonal"])
     def test_ks_rejects_a_chi_shifted_sampler(self, call, field):
         # the same kernel with one more degree of freedom on every chi of one
-        # chisquare call (an off-by-one in that formula): the diagonal or the
-        # superdiagonal of BB''s bidiagonal factor V, or the diagonal of AA''s
-        # Bartlett factor R, must fail the test above
+        # chisquare call (an off-by-one in that formula) must fail the test
+        # above: the diagonal or the superdiagonal of V (BB' = VV'), or the
+        # diagonal of R (AA' = RR')
         class ShiftedChi(np.random.Generator):
             calls = 0
 
