@@ -4,7 +4,9 @@
 Each side is a ``git archive`` of its revision in a temporary directory.
 Pair i runs BENCHMARK.json's command (``python3 perfbench/run.py``) with
 ``--workload W --seed SEED_BASE+i --seconds S --trace 0`` on both sides,
-the parent first in even pairs.  The output JSON holds, per workload and
+the parent first in even pairs.  Before pair 0 of each workload, each side
+makes one warm-up run at seed SEED_BASE, which is discarded, so that the
+machine's cold start does not land in the first pairs.  The output JSON holds, per workload and
 end-to-end metric, both sides' quartiles (statistics.quantiles,
 method="inclusive"), the change's wins, the parent's IQR over its median
 and a status against the metric's bound: "worse" when the change's median
@@ -100,6 +102,25 @@ def run_once(tree: str, command: list, workload: str, seed: int, seconds: int,
     return row, record
 
 
+def run_pairs(run, trees: dict, workload: str, pairs: int, seed_base: int) -> tuple[dict, dict]:
+    """(runs, records) of one workload: one discarded warm-up run per side,
+    then ``pairs`` pairs, pair i at seed ``seed_base + i`` with the parent
+    first in even pairs.  ``run(tree, workload, seed)`` returns a (run row,
+    run record) pair, as ``run_once`` does."""
+    for side in SIDES:
+        run(trees[side], workload, seed_base)
+    runs, records = {side: [] for side in SIDES}, {}
+    for i in range(pairs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            row, record = run(trees[side], workload, seed_base + i)
+            runs[side].append(dict(pair=i, **row))
+            records.setdefault(side, record)
+            print(f"{workload} pair {i} {side}: "
+                  + " ".join(f"{k}={v:.4g}" for k, v in row.items() if k not in RUN_FIELDS),
+                  flush=True)
+    return runs, records
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="parent revision")
@@ -132,9 +153,10 @@ def main():
     result = {
         "what": f"alternating parent/change runs of `{' '.join(bench['command'])} --workload W "
                 f"--seed S --seconds {seconds} --trace 0`, seed {args.seed_base}+i for pair i "
-                "on every workload, parent first in even pairs, each side a git archive of its "
-                "revision; thread variables as the caller set them; quartiles by "
-                "statistics.quantiles(method='inclusive')",
+                "on every workload, parent first in even pairs, after one discarded warm-up run "
+                f"per side at seed {args.seed_base} before pair 0 of each workload, each side a "
+                "git archive of its revision; thread variables as the caller set them; "
+                "quartiles by statistics.quantiles(method='inclusive')",
         **revs,
         "claim": args.claim or "none",
         "notes": args.notes,
@@ -144,16 +166,11 @@ def main():
         trees = {side: os.path.join(tmp, side) for side in SIDES}
         for side in SIDES:
             export_tree(revs[side], trees[side])
+        def run(tree, workload, seed):
+            return run_once(tree, bench["command"], workload, seed, seconds, metrics)
+
         for workload in (w["name"] for w in bench["workloads"]):
-            runs, records = {side: [] for side in SIDES}, {}
-            for i in range(args.pairs):
-                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    row, record = run_once(trees[side], bench["command"], workload,
-                                           args.seed_base + i, seconds, metrics)
-                    runs[side].append(dict(pair=i, **row))
-                    records.setdefault(side, record)
-                    print(f"{workload} pair {i} {side}: "
-                          + " ".join(f"{m}={row[m]:.4g}" for m in metrics), flush=True)
+            runs, records = run_pairs(run, trees, workload, args.pairs, args.seed_base)
             result["workloads"][workload] = {
                 "summary": summarize(runs, bench["end_to_end"],
                                      claim_metric if workload == claim_workload else None),

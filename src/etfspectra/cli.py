@@ -59,6 +59,8 @@ def _cmd_spectra_sample(args):
 
 
 def _cmd_manova_density(args):
+    if args.grid < 1:
+        raise ValueError(f"--grid takes at least 1 point; got {args.grid}")
     params = manova.ManovaParams(args.beta, args.gamma)
     dist = manova.ManovaDistribution(params)
     lo, hi = dist.edges

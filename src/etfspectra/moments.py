@@ -14,8 +14,10 @@ live here:
   Bernoulli cumulants: one contraction program per dihedral class, 354 at
   d = 8, compiled once per d, in place of the n^d index tuples.  A frame
   with a circulant Gram (the harmonic constructors') sums each class with
-  one index fixed, by shift invariance.  ``MAX_EXACT_WORK`` caps its
-  multiply-adds, which allows n <= 286 at d = 8 in general and n <= 1962
+  one index fixed, by shift invariance; its constant diagonal leaves a
+  factor per class, and the classes whose remaining edge networks
+  coincide share one program, 117 at d = 8.  ``MAX_EXACT_WORK`` caps its
+  multiply-adds, which allows n <= 286 at d = 8 in general and n <= 1983
   on a circulant Gram, and ``MAX_EXACT_BYTES`` the bytes of its n-by-n
   operands,
 * ``all_subsets_expected_moment`` averages subset Gram traces over all 2^n
@@ -431,16 +433,29 @@ def _contract(program: tuple, operands) -> complex:
     return live[0]
 
 
-class _CycleClass(NamedTuple):
-    """One dihedral class of set partitions of the d cycle positions."""
+class _Network(NamedTuple):
+    """The contraction network of one or more dihedral classes of set
+    partitions of the d cycle positions, and its compiled program."""
 
-    size: int        # partitions in the class
     subs: str        # einsum subscripts: a vertex vector or an edge matrix each
     keys: tuple      # operand keys: (l,) is diag(G)^l, (f, r) is G^f conj(G)^r
     sliced: tuple    # whether each operand's first index is 'a'
     path: tuple      # contraction program: the pairwise steps, in order
     steps: tuple     # each path step costs about n to this power
     rank: int        # largest intermediate's number of indices (bar 'a' if shifted)
+
+
+class _Plan(NamedTuple):
+    """What ``exact_expected_moment`` needs at one order d on one path, per
+    dihedral class c of set partitions of the cycle positions and per
+    distinct network."""
+
+    weights: np.ndarray  # [k, c]: c's size times the p^k coefficient of its cumulant product
+    sizes: np.ndarray    # [c]: partitions in c
+    loops: np.ndarray    # [c]: cycle steps of c inside a block, the L of diag(G)^L
+    index: np.ndarray    # [c]: position of c's network in ``networks``
+    networks: tuple      # the distinct ``_Network``s
+    powers: tuple        # the G-powers they read, as (key, prev, step)
 
 
 def _network(lab) -> tuple:
@@ -464,24 +479,34 @@ def _network(lab) -> tuple:
     return terms, keys
 
 
-def _shift_network(lab) -> tuple:
-    """The network of ``lab`` with 'a' on the block that the shift-invariant
-    sum fixes, and its program (``_elimination_path`` with 'a' free).  Each
-    block is tried as 'a'; the program whose step powers, largest first,
-    sort lowest wins, the first block among equals."""
+@lru_cache(maxsize=None)
+def _shift_network(walk: tuple) -> tuple:
+    """The edge network of the loop-free cyclic walk ``walk`` with 'a' on
+    the block that the shift-invariant sum fixes, and its program
+    (``_elimination_path`` with 'a' free).  Each block is tried as 'a'; the
+    program whose step powers, largest first, sort lowest wins, the first
+    block among equals."""
     nets = []
-    for r in range(max(lab) + 1):
-        terms, keys = _network([r if b == 0 else 0 if b == r else b for b in lab])
+    for r in range(max(walk) + 1):
+        terms, keys = _network([r if b == 0 else 0 if b == r else b for b in walk])
         nets.append((terms, keys, _elimination_path(terms, free="a")))
     return min(nets, key=lambda net: sorted(net[2][1], reverse=True))
 
 
+def _dihedral_key(lab) -> tuple:
+    """The least first-appearance relabelling of the rotations and
+    reflections of the cyclic sequence ``lab``."""
+    d = len(lab)
+    return min(_first_appearance(lab[(s * t + r) % d] for t in range(d))
+               for r in range(d) for s in (1, -1))
+
+
 @lru_cache(maxsize=None)
-def _moment_plan(d: int, shift: bool = False) -> tuple:
+def _moment_plan(d: int, shift: bool = False) -> _Plan:
     """Everything ``exact_expected_moment`` needs that depends on d alone:
     the dihedral classes of set partitions tau of the d cycle positions,
-    weights[k, c], class c's size times the p^k coefficient of its
-    cumulant product prod_{B in tau} kappa_|B|(p), and the G-powers.
+    their weights (size times the p-coefficients of the cumulant product
+    prod_{B in tau} kappa_|B|(p)), their networks and the G-powers.
 
     C_tau(G), the cycle c_{i1 i2} ... c_{id i1} summed over the index tuples
     constant on each block, is a sum over the quotient graph of the cycle:
@@ -489,55 +514,78 @@ def _moment_plan(d: int, shift: bool = False) -> tuple:
     block folding into a diagonal power and parallel steps into one
     Hadamard product.  A dihedral image of tau has the same block sizes and
     the same or the conjugate C_tau, so each class counts its size times
-    the real part.  Each class carries its contraction program, compiled
+    the real part.  Each network carries its contraction program, compiled
     here once per d: the pairwise steps of ``_elimination_path`` with their
     transposes and axis insertions fixed, so that a call plans nothing.
-    With ``shift`` the programs are those of ``_shift_network``, for a
-    circulant G summed at a = 0 only.
-    The G-powers the classes read are listed as (key, prev, step), each
+    On the general path every class has its own network.
+
+    With ``shift`` the Gram is circulant, so each diagonal power is the
+    constant g0^l: a class's network keeps its edge matrices only, the
+    quotient of its cycle with the steps inside blocks dropped, and C_tau
+    is g0^L times that network's sum, L the class's ``loops``.  The classes
+    whose loop-free walks are dihedral images of each other share the
+    network of the least image, the classes whose networks then coincide
+    share one, and each network's program is that of ``_shift_network``,
+    summed at a = 0 only: 6 networks for the 7 classes at d = 4, 118 for
+    the 354 at d = 8, one of them the empty network (the single block),
+    whose sum is 1.
+    The G-powers the networks read are listed as (key, prev, step), each
     after its factors, so that a call forms each by one product prev * step
     with step diag(G) (1,), G (1, 0) or conj(G) (0, 1).
     """
     orbits: dict = {}
     for lab in _set_partitions(d):
-        key = min(_first_appearance(lab[(s * t + r) % d] for t in range(d))
-                  for r in range(d) for s in (1, -1))
+        key = _dihedral_key(lab)
         orbits[key] = orbits.get(key, 0) + 1
     weights = np.zeros((d + 1, len(orbits)))
-    classes = []
+    sizes, loops, index, networks, position = [], [], [], [], {}
     for c, (lab, size) in enumerate(sorted(orbits.items())):
         poly = (1,)
         for b in range(max(lab) + 1):
             poly = _poly_mul(poly, _bernoulli_cumulant(lab.count(b)))
         weights[:, c] = [size * float(x) for x in poly]
-        if shift:
-            terms, keys, program = _shift_network(lab)
-        else:
+        walk = [u for t, u in enumerate(lab) if u != lab[(t + 1) % d]]
+        sizes.append(size)
+        loops.append(d - len(walk))
+        if not shift:
             terms, keys = _network(lab)
             program = _elimination_path(terms)
-        classes.append(_CycleClass(size, ",".join(terms) + "->", tuple(keys),
-                                   tuple(t[0] == "a" for t in terms), *program))
-    weights.flags.writeable = False
+        elif walk:
+            terms, keys, program = _shift_network(_dihedral_key(walk))
+        else:
+            terms, keys, program = [], [], ((), (), 0)
+        net = _Network(",".join(terms) + "->", tuple(keys),
+                       tuple(t[0] == "a" for t in terms), *program)
+        at = position.get(net[:2]) if shift else None
+        if at is None:
+            at = position[net[:2]] = len(networks)
+            networks.append(net)
+        index.append(at)
     factors = {}
-    for key in {key for cls in classes for key in cls.keys}:
+    for key in {key for net in networks for key in net.keys}:
         while sum(key) > 1:
             step = (1,) if len(key) == 1 else (1, 0) if key[0] else (0, 1)
             factors[key] = tuple(k - s for k, s in zip(key, step)), step
             key = factors[key][0]
+    arrays = [weights, np.array(sizes), np.array(loops), np.array(index)]
+    for x in arrays:
+        x.flags.writeable = False
     # a key's prev sorts before it: (l-1,) < (l,), (f-1, r) < (f, r), (0, r-1) < (0, r)
-    return weights, tuple(classes), tuple((key, *factors[key]) for key in sorted(factors))
+    return _Plan(*arrays, tuple(networks),
+                 tuple((key, *factors[key]) for key in sorted(factors)))
 
 
 @lru_cache(maxsize=None)
 def _exact_work(d: int, n: int, shift: bool = False) -> int:
     """Multiply-adds of ``exact_expected_moment`` at order d on n vectors,
     general or shift-invariant, as its steps count them (n to the number
-    of indices a step touches, 'a' left out on the shift-invariant path)."""
-    return sum(n ** e for cls in _moment_plan(d, shift)[1] for e in cls.steps)
+    of indices a step touches, 'a' left out on the shift-invariant path),
+    each distinct network once."""
+    return sum(n ** e for net in _moment_plan(d, shift).networks for e in net.steps)
 
 
 def _chunk(rank: int, n: int) -> int:
-    """Values of 'a' per slice on the general path for a class whose largest
+    """Values of 'a' per slice on the general path for a network whose largest
     intermediate has ``rank`` indices: n, unless that keeps more than
     ``_SLICE_ELEMENTS`` values."""
     return min(n, max(1, _SLICE_ELEMENTS // n ** max(rank - 1, 0)))
@@ -547,19 +595,23 @@ def _chunk(rank: int, n: int) -> int:
 def _exact_bytes(d: int, n: int, shift: bool = False) -> int:
     """Bytes that ``exact_expected_moment`` holds at once at order d on n
     vectors, 16 per value (complex): on the general path the Gram, its
-    conjugate and every G-power that is a matrix; on the shift-invariant
-    path the whole powers it gathers from the row; on either a vector of n
-    per G-power and four of the largest intermediate (a step's operands,
-    its transposed copies and its result)."""
-    _, classes, powers = _moment_plan(d, shift)
+    conjugate and every G-power that is a matrix, and four of the largest
+    intermediate (a step's operands, its transposed copies and its
+    result); on the shift-invariant path the whole powers it gathers from
+    the row, and for each network one of its largest intermediate per step
+    of its program and one more, since a program may hold every result it
+    has made while a step copies an operand; on either a vector of n per
+    G-power."""
+    plan = _moment_plan(d, shift)
+    networks, powers = plan.networks, plan.powers
     if shift:
-        matrices = len({key for cls in classes for key, cut in zip(cls.keys, cls.sliced)
-                        if len(key) == 2 and not cut})
-        largest = max(n ** cls.rank for cls in classes)
+        matrices = len({key for net in networks for key, cut in zip(net.keys, net.sliced)
+                        if not cut})
+        held = max((len(net.path) + 1) * n ** net.rank for net in networks)
     else:
         matrices = 2 + sum(len(key) == 2 for key, _, _ in powers)
-        largest = max(_chunk(cls.rank, n) * n ** max(cls.rank - 1, 0) for cls in classes)
-    return 16 * (matrices * n * n + (len(powers) + 3) * n + 4 * largest)
+        held = 4 * max(_chunk(net.rank, n) * n ** max(net.rank - 1, 0) for net in networks)
+    return 16 * (matrices * n * n + (len(powers) + 3) * n + held)
 
 
 @lru_cache(maxsize=None)
@@ -590,8 +642,9 @@ def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
     Leonov & Shiryaev 1959; Rota 1964), so n m_d(p) = sum_tau prod_B
     kappa_|B|(p) C_tau(G).  A call forms one Gram and the elementwise
     G-powers of the plan, then runs the contraction program of each
-    dihedral class of tau (7 at d = 4, 37 at d = 6, 354 at d = 8), which
-    ``_moment_plan`` compiles once per d: pairwise steps in the
+    dihedral class of tau (7 at d = 4, 37 at d = 6, 354 at d = 8), or on
+    the shift-invariant path of each distinct edge network (5, 20 and
+    117), which ``_moment_plan`` compiles once per d: pairwise steps in the
     order of ``_elimination_path``, a BLAS product (matmul or dot) wherever
     a step sums an index of both its operands, a broadcast multiply for a
     Hadamard or outer product and ``np.add.reduce`` for a one-operand sum.
@@ -609,16 +662,20 @@ def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
       ``random_spectrum_dft`` and ``complex_paley``, which set the row).
       Their Gram is circulant, so C_tau is unchanged when every index
       shifts by one: C_tau is n times its sum at one block's index fixed
-      to 0.  Each class fixes the block whose removal leaves the cheapest
-      program (``_shift_network``) and labels it 'a'; the operands come
-      from the stored row (``_shift_sums``), and no Gram is formed.  Every
-      step costs at most n^2 at d <= 7 and n^3 at d = 8, with n^2
-      intermediates.  Reach: n <= 1962 at d = 8, 4727 at d = 7; DSS(863)
-      takes 0.08 s at d = 7 and 0.7 s at d = 8, DSS(283) 0.04 s at d = 8.
-      Within 1.4e-12 of the general path, relative to the largest
-      coefficient.
+      to 0.  Its diagonal is the constant g0 = ``circulant_row[0]``, so a
+      class with L cycle steps inside its blocks is g0^L times the sum of
+      its edge network, and the classes whose edge networks coincide share
+      one contraction (``_moment_plan``): a = weights @ (g0^L P), P the
+      sums of the distinct networks.  Each network fixes the block whose
+      removal leaves the cheapest program (``_shift_network``) and labels
+      it 'a'; the operands come from the stored row (``_shift_sums``), and
+      no Gram is formed.  Every step costs at most n^2 at d <= 7 and n^3
+      at d = 8, with n^2 intermediates.  Reach: n <= 1983 at d = 8, 5178
+      at d = 7; DSS(863) takes 0.06 s at d = 7 and 0.7 s at d = 8.
+      Within 2.7e-12 of the general path, relative to the largest
+      coefficient (DSS(199) at d = 8).
 
-    A call at d = 4 takes about 0.05 ms on DSS(7) and on DSS(31), against
+    A call at d = 4 takes about 0.045 ms on DSS(7) and on DSS(31), against
     0.10 and 0.14 ms on the general path.  Times are on one BLAS thread of
     a 2-CPU box.  Guarded, on the frame's path and before any array is
     formed, to ``_exact_work(d, n, shift) <= MAX_EXACT_WORK`` multiply-adds
@@ -626,31 +683,33 @@ def exact_expected_moment(F: FrameMatrix, d: int) -> SubsetMomentPolynomial:
     operands and intermediates.  The work binds at d = 8 on either path
     and at d >= 3 on the general one; the bytes bind elsewhere: n <= 8190
     at d = 1 and 6687 at d = 2 on the general path, and on the
-    shift-invariant one n <= 11577 to 11580 at d = 3 to 5, 5178 at d = 6
-    and 4727 at d = 7 (at d <= 2 it holds no n-by-n operand).
+    shift-invariant one n <= 11578 to 11581 at d = 3 to 5, 5790 at d = 6
+    and 5178 at d = 7 (at d <= 2 it holds no n-by-n operand).
     """
     d = _order(d, MAX_EXACT_D)
     n, shift = F.n, _shifts(F)
     refusal = _refusal(d, n, shift)
     if refusal:
         raise ValueError(refusal)
-    weights, classes, powers = _moment_plan(d, shift)
+    plan = _moment_plan(d, shift)
     if shift:  # n times each class's sum at a = 0; the n cancels the 1/n
-        a = weights @ _shift_sums(F.circulant_row, classes, powers)
+        row = F.circulant_row
+        sums = _shift_sums(row, plan.networks, plan.powers)
+        a = plan.weights @ (row[0].real ** plan.loops * sums[plan.index])
         a[0] = 0.0
         return SubsetMomentPolynomial(d, tuple(a))
-    operands = _g_powers(gram(F), powers)
-    sums = np.zeros(len(classes))
-    for c, cls in enumerate(classes):
-        ops = [operands[key] for key in cls.keys]
-        chunk = _chunk(cls.rank, n)
+    operands = _g_powers(gram(F), plan.powers)
+    sums = np.zeros(len(plan.networks))
+    for c, net in enumerate(plan.networks):
+        ops = [operands[key] for key in net.keys]
+        chunk = _chunk(net.rank, n)
         if chunk >= n:
-            sums[c] = _contract(cls.path, ops).real
+            sums[c] = _contract(net.path, ops).real
         else:
-            sums[c] = sum(_contract(cls.path, [op[s:s + chunk] if cut else op
-                                               for op, cut in zip(ops, cls.sliced)]).real
+            sums[c] = sum(_contract(net.path, [op[s:s + chunk] if cut else op
+                                               for op, cut in zip(ops, net.sliced)]).real
                           for s in range(0, n, chunk))
-    a = weights @ sums / n
+    a = plan.weights @ sums / n
     a[0] = 0.0
     return SubsetMomentPolynomial(d, tuple(a))
 
@@ -663,27 +722,26 @@ def _g_powers(G, powers) -> dict:
     return operands
 
 
-def _shift_sums(row, classes, powers) -> np.ndarray:
-    """Each class's sum at a = 0 on the circulant Gram with first row
-    ``row``.  An operand that holds 'a' is row 0 of its G-power; any other
-    is the whole power, a circulant gathered from that row, or a constant
-    diagonal.  Only those few powers take n^2 values."""
-    n = len(row)
+def _shift_sums(row, networks, powers) -> np.ndarray:
+    """Each edge network's sum at a = 0 on the circulant Gram with first
+    row ``row``, 1 for the empty network.  An operand that holds 'a' is row
+    0 of its G-power; any other is the whole power, a circulant gathered
+    from that row.  Only those few powers take n^2 values."""
     first = _g_powers(row[None, :], powers)
     whole = {}
-    sums = np.zeros(len(classes))
-    for c, cls in enumerate(classes):
+    sums = np.ones(len(networks))
+    for c, net in enumerate(networks):
+        if not net.path:
+            continue
         ops = []
-        for key, cut in zip(cls.keys, cls.sliced):
+        for key, cut in zip(net.keys, net.sliced):
             if cut:
                 ops.append(first[key])
-            elif len(key) == 1:
-                ops.append(np.broadcast_to(first[key], (n,)))
             else:
                 if key not in whole:
                     whole[key] = _circulant(first[key][0])
                 ops.append(whole[key])
-        sums[c] = _contract(cls.path, ops).real
+        sums[c] = _contract(net.path, ops).real
     return sums
 
 

@@ -299,6 +299,8 @@ def test_moments_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
     (("functional", "eval", "--kind", "ac", "--frame", "{missing}", "--k", "3"),
      "[Errno 2] No such file or directory: '{missing}'"),
     (("manova", "density", "--beta", "0", "--gamma", "0.5"), "beta must be positive; got 0.0"),
+    *[(("manova", "density", "--beta", "0.8", "--gamma", "0.5", "--grid", grid),
+       f"--grid takes at least 1 point; got {grid}") for grid in ("0", "-3")],
     (("coding", "curve", "--direction", "sc", "--p", "1.5", "--sdr-db", "10", "--beta", "0.5"),
      "source coding needs p < beta < 1; got beta=0.5"),
     (("coding", "curve", "--direction", "cc", "--p", "0.5", "--sdr-db", "10"),
@@ -312,7 +314,8 @@ def test_moments_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
        f"--sdr-db takes a value or lo:hi:step with lo <= hi and step > 0; got '{spec}'")
       for spec in ("0:10:0", "10:0:2", "0:60")],
 ], ids=["spectra-missing-frame", "functional-missing-frame", "manova-beta",
-        "coding-beta-range", "coding-no-beta", "coding-no-bracket", "coding-range-step-0",
+        "manova-grid-0", "manova-grid-negative", "coding-beta-range", "coding-no-beta",
+        "coding-no-bracket", "coding-range-step-0",
         "coding-range-descending", "coding-range-two-parts"])
 def test_commands_bad_arguments_exit_without_traceback(tmp_path, argv, reason):
     root = pathlib.Path(__file__).resolve().parents[1]

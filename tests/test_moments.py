@@ -271,11 +271,11 @@ class TestExactExpectedMoment:
     def test_program_is_the_contraction(self, d, family):
         # each class's compiled program against one einsum over the whole network
         G = fr.gram(fr.construct_random(family, 9, 5, seed=3))
-        for cls in mo._moment_plan(d)[1]:
+        for net in mo._moment_plan(d).networks:
             ops = [np.diagonal(G) ** key[0] if len(key) == 1 else G ** key[0] * G.conj() ** key[1]
-                   for key in cls.keys]
-            want = np.einsum(cls.subs, *ops)
-            assert abs(mo._contract(cls.path, ops) - want) <= 1e-12 * abs(want), cls.subs
+                   for key in net.keys]
+            want = np.einsum(net.subs, *ops)
+            assert abs(mo._contract(net.path, ops) - want) <= 1e-12 * abs(want), net.subs
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_repeated_call_plans_nothing(self, d, monkeypatch):
@@ -299,9 +299,9 @@ class TestExactExpectedMoment:
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_class_sizes_sum_to_bell(self, d):
-        classes = mo._moment_plan(d)[1]
-        assert sum(cls.size for cls in classes) == len(list(all_set_partitions(range(d))))
-        assert len(classes) == {4: 7, 6: 37, 8: 354}.get(d, len(classes))
+        sizes = mo._moment_plan(d).sizes
+        assert sum(sizes) == len(list(all_set_partitions(range(d))))
+        assert len(sizes) == {4: 7, 6: 37, 8: 354}.get(d, len(sizes))
 
 
 def saved_and_loaded(F, path):
@@ -368,38 +368,82 @@ class TestShiftInvariantPath:
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_program_is_the_contraction(self, d):
-        # each class's shift-invariant program, relabelled, against the
-        # einsum of the class's general network, on a Gram that is not circulant
-        G = fr.gram(fr.construct_random("haar_complex", 9, 5, seed=3))
+        # each class's general network against c^L times its shift-invariant
+        # network (the same or the conjugate sum) summed over every index,
+        # 'a' too, on a Gram that is not circulant and whose diagonal is the
+        # constant c = 2; the empty network sums to n there.  The einsum runs
+        # pairwise: summed one term at a time, n = 19 loses 1e-12 at d = 8
+        G = 2 * fr.gram(fr.FrameMatrix(fr.construct_dss(19).entries[
+            :, np.random.default_rng(4).permutation(19)], "dss"))
 
-        def operands(cls):
+        def operands(net):
             return [np.diagonal(G) ** key[0] if len(key) == 1
-                    else G ** key[0] * G.conj() ** key[1] for key in cls.keys]
+                    else G ** key[0] * G.conj() ** key[1] for key in net.keys]
 
-        for cls, shift in zip(mo._moment_plan(d)[1], mo._moment_plan(d, True)[1]):
-            assert shift.size == cls.size
-            want = np.einsum(cls.subs, *operands(cls))
-            got = mo._contract(shift.path, operands(shift))
-            assert abs(got - want) <= 1e-12 * abs(want), (cls.subs, shift.subs)
+        general, shift = mo._moment_plan(d), mo._moment_plan(d, True)
+        assert np.array_equal(general.sizes, shift.sizes)
+        assert np.array_equal(general.loops, shift.loops)
+        for c, loops in enumerate(shift.loops):
+            cls = general.networks[general.index[c]]
+            net = shift.networks[shift.index[c]]
+            assert not any(len(key) == 1 for key in net.keys)
+            want = np.einsum(cls.subs, *operands(cls), optimize="greedy")
+            got = 2.0 ** loops * (mo._contract(net.path, operands(net)) if net.path else len(G))
+            assert min(abs(got - want), abs(got - want.conjugate())) <= 1e-12 * abs(want), \
+                (cls.subs, net.subs)
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_steps_and_intermediates(self, d):
         # with 'a' fixed, no step costs more than n^3 (n^2 below d = 8) and
-        # no intermediate holds more than n^2 values
-        classes = mo._moment_plan(d, True)[1]
-        assert max(e for cls in classes for e in cls.steps) <= (3 if d == 8 else 2)
-        assert max(cls.rank for cls in classes) <= 2
-        for cls in classes:
-            assert all(t[0] == "a" for t, cut in zip(cls.subs[:-2].split(","), cls.sliced) if cut)
-            assert "a" not in "".join(t for t, cut in zip(cls.subs[:-2].split(","), cls.sliced)
+        # no intermediate holds more than n^2 values; the empty network
+        # (the single block) has no step
+        networks = [net for net in mo._moment_plan(d, True).networks if net.path]
+        for net in networks:
+            assert max(net.steps) <= (3 if d == 8 else 2)
+            assert net.rank <= 2
+            assert all(t[0] == "a" for t, cut in zip(net.subs[:-2].split(","), net.sliced) if cut)
+            assert "a" not in "".join(t for t, cut in zip(net.subs[:-2].split(","), net.sliced)
                                       if not cut)
 
+    @pytest.mark.parametrize("d, networks", [(4, 5), (8, 117)])
+    def test_each_network_is_contracted_once(self, d, networks, monkeypatch):
+        # the classes whose networks coincide once the loops are folded into
+        # g0^L share one contraction; the empty network runs none
+        plan = mo._moment_plan(d, True)
+        assert len(plan.sizes) == {4: 7, 8: 354}[d]
+        assert len({net[:2] for net in plan.networks}) == len(plan.networks)
+        calls = []
+        contract = mo._contract
+
+        def counted(program, operands):
+            calls.append(program)
+            return contract(program, operands)
+
+        monkeypatch.setattr(mo, "_contract", counted)
+        mo.exact_expected_moment(fr.construct_dss(19), d)
+        assert len(calls) == networks
+        assert sorted(map(id, calls)) == sorted(id(net.path) for net in plan.networks if net.path)
+
+    @pytest.mark.parametrize("build", [
+        lambda: fr.construct_dss(19), lambda: fr.construct_lowpass_dft(20, 7),
+    ], ids=["dss19", "lowpass20"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_diagonal_other_than_one(self, build, d):
+        # every harmonic constructor has g0 = 1; frame vectors of norm 1.5
+        # put g0 = 2.25 and check the folded factor g0^L
+        F = build()
+        F = fr.FrameMatrix(1.5 * F.entries, F.family, circulant_row=2.25 * F.circulant_row)
+        got = np.array(mo.exact_expected_moment(F, d).a)
+        want = np.array(mo.exact_expected_moment(without_row(F), d).a)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
     def test_guard(self):
-        # the general count is unchanged; the shift-invariant one reaches
-        # DSS(863) at d = 8 and stops at n = 1962
+        # the general count is unchanged; the shift-invariant one, each
+        # distinct network counted once, reaches DSS(863) at d = 8 and stops
+        # at n = 1983
         assert mo._exact_work(7, 702) <= mo.MAX_EXACT_WORK < mo._exact_work(7, 703)
-        assert mo._exact_work(8, 1962, True) <= mo.MAX_EXACT_WORK < mo._exact_work(8, 1963, True)
-        F = fr.construct_lowpass_dft(1963, 4)
+        assert mo._exact_work(8, 1983, True) <= mo.MAX_EXACT_WORK < mo._exact_work(8, 1984, True)
+        F = fr.construct_lowpass_dft(1984, 4)
         with pytest.raises(ValueError, match="above the guard"):
             mo.exact_expected_moment(F, 8)
         with pytest.raises(ValueError, match="above the guard"):

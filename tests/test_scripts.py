@@ -86,3 +86,23 @@ def test_bench_pairs_summary_on_synthetic_runs():
     for row in runs["change"]:
         row["rss"] = 1.0
     assert bench_pairs.summarize(runs, end_to_end)["rss"]["status"] == "spread"
+
+
+def test_bench_pairs_warms_up_each_side_and_alternates():
+    bench_pairs = _bench_pairs()
+    calls = []
+
+    def run(tree, workload, seed):
+        calls.append((tree, seed))
+        return {"correct": True, "attempted": 1, "failed": 0, "wall_s": float(len(calls))}, {}
+
+    trees = {"parent": "p", "change": "c"}
+    runs, records = bench_pairs.run_pairs(run, trees, "exact_engines", 4, 30)
+    # one warm-up run per side at the first seed, then the pairs, parent first in even pairs
+    assert calls == [("p", 30), ("c", 30), ("p", 30), ("c", 30), ("c", 31), ("p", 31),
+                     ("p", 32), ("c", 32), ("c", 33), ("p", 33)]
+    assert [r["pair"] for r in runs["parent"]] == [r["pair"] for r in runs["change"]] == [0, 1, 2, 3]
+    # the warm-up rows (wall_s 1 and 2) are not kept
+    assert [r["wall_s"] for r in runs["parent"]] == [3.0, 6.0, 7.0, 10.0]
+    assert [r["wall_s"] for r in runs["change"]] == [4.0, 5.0, 8.0, 9.0]
+    assert records == {"parent": {}, "change": {}}
